@@ -429,11 +429,10 @@ Verdict RefinementCheck::run() {
         return verdict(VerdictKind::PreconditionFalse, "precondition",
                        "the combined preconditions are unsatisfiable");
     } else {
-      Solver S;
+      Solver S(Opts.Budget.MaxLiterals);
       for (Expr E : OuterBase)
         S.add(E);
-      SolverBudget B = Opts.Budget;
-      SolveOutcome R = S.check(B);
+      SolveOutcome R = S.check(Opts.Budget);
       QS.Result = R.isUnsat() ? QueryResult::Unsat
                   : R.isSat() ? QueryResult::Sat
                               : QueryResult::Unknown;

@@ -23,14 +23,14 @@ Lit BitBlaster::fresh() {
   return mkLit(S.newVar());
 }
 
-void BitBlaster::clause(std::vector<Lit> Lits) {
+void BitBlaster::clause(std::initializer_list<Lit> Lits) {
   ++ClausesEmitted;
   EmittedLiterals += Lits.size();
   if (EmittedLiterals > LiteralBudget) {
     OverBudget = true;
     return;
   }
-  S.addClause(std::move(Lits));
+  S.addClause(std::span<const Lit>(Lits.begin(), Lits.size()));
 }
 
 //===----------------------------------------------------------------------===//

@@ -19,6 +19,7 @@
 #include "smt/Expr.h"
 #include "smt/Sat.h"
 
+#include <initializer_list>
 #include <unordered_map>
 
 namespace alive::smt {
@@ -41,11 +42,6 @@ public:
   /// Reads back the value of a previously-blasted variable from the SAT
   /// model; also answers for variables never blasted (defaulting to zero).
   BitVec readVar(Expr Var) const;
-
-  /// All variables that were blasted (candidates for the model).
-  const std::unordered_map<ExprId, std::vector<Lit>> &blastedVars() const {
-    return VarBits;
-  }
 
   /// True once the clause budget was exceeded; results are then unusable.
   bool overBudget() const { return OverBudget; }
@@ -71,7 +67,7 @@ private:
 
   Lit falseLit() const { return negLit(TrueLit); }
   Lit fresh();
-  void clause(std::vector<Lit> Lits);
+  void clause(std::initializer_list<Lit> Lits);
 
   Lit gateAnd(Lit A, Lit B);
   Lit gateOr(Lit A, Lit B);

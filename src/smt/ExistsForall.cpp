@@ -599,7 +599,7 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
   // readable, and exercise the exact (non-over-approximated) semantic
   // paths first. Only run when there are avoided apps to dodge.
   if (!Query.AvoidAppPrefixes.empty()) {
-    Solver ZeroSolver;
+    Solver ZeroSolver(Budget.MaxLiterals);
     for (Expr E : Outer)
       ZeroSolver.add(E);
     for (ExprId V : OuterVars) {
@@ -617,7 +617,7 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
   }
 
   // Phase B: the full search.
-  Solver OuterSolver;
+  Solver OuterSolver(Budget.MaxLiterals);
   for (Expr E : Outer)
     OuterSolver.add(E);
   Phase R = runPhase(OuterSolver, 512);

@@ -34,24 +34,18 @@ int SatSolver::newVar() {
   return V;
 }
 
-size_t SatSolver::numClauses() const {
-  size_t N = 0;
-  for (const Clause &C : Clauses)
-    if (!C.Deleted)
-      ++N;
-  return N;
-}
-
-bool SatSolver::addClause(std::vector<Lit> Lits) {
+bool SatSolver::addClause(std::span<const Lit> Lits) {
   if (Unsat)
     return false;
   // Incremental use: return to the root level before touching the database.
   backtrack(0);
   // Simplify: sort, dedupe, drop false literals, detect tautology/satisfied.
-  std::sort(Lits.begin(), Lits.end());
-  std::vector<Lit> Out;
+  AddBuf.assign(Lits.begin(), Lits.end());
+  std::sort(AddBuf.begin(), AddBuf.end());
+  size_t Out = 0;
   Lit Prev = -1;
-  for (Lit L : Lits) {
+  for (size_t I = 0; I < AddBuf.size(); ++I) {
+    Lit L = AddBuf[I];
     assert(litVar(L) < numVars() && "literal references unknown variable");
     if (L == Prev)
       continue;
@@ -61,20 +55,21 @@ bool SatSolver::addClause(std::vector<Lit> Lits) {
       return true; // already satisfied
     if (value(L) == -1 && Level[litVar(L)] == 0)
       continue; // drop root-false literal
-    Out.push_back(L);
+    AddBuf[Out++] = L;
     Prev = L;
   }
-  if (Out.empty()) {
+  AddBuf.resize(Out);
+  if (AddBuf.empty()) {
     Unsat = true;
     return false;
   }
-  if (Out.size() == 1) {
-    if (value(Out[0]) == -1) {
+  if (AddBuf.size() == 1) {
+    if (value(AddBuf[0]) == -1) {
       Unsat = true;
       return false;
     }
-    if (value(Out[0]) == 0) {
-      enqueue(Out[0], NoReason);
+    if (value(AddBuf[0]) == 0) {
+      enqueue(AddBuf[0], NoReason);
       if (propagate() != NoReason) {
         Unsat = true;
         return false;
@@ -82,22 +77,27 @@ bool SatSolver::addClause(std::vector<Lit> Lits) {
     }
     return true;
   }
-  attachClause(std::move(Out), /*Learned=*/false, /*Lbd=*/0);
+  attachClause(AddBuf, /*Learned=*/false, /*Lbd=*/0);
   return true;
 }
 
-SatSolver::CRef SatSolver::attachClause(std::vector<Lit> Lits, bool Learned,
-                                        uint32_t Lbd) {
-  CRef Ref = (CRef)Clauses.size();
+SatSolver::CRef SatSolver::attachClause(std::span<const Lit> Lits,
+                                        bool Learned, uint32_t Lbd) {
+  // Watchers hold the offset shifted left once; the literal budget keeps
+  // the arena far below that limit.
+  assert(Arena.size() + HeaderWords + Lits.size() < (size_t(1) << 31) &&
+         "clause arena exceeds the watcher's offset range");
+  CRef Ref = (CRef)Arena.size();
   TotalLiterals += Lits.size();
-  Clause C;
-  C.Learned = Learned;
-  C.Lbd = Lbd;
-  C.Activity = Learned ? ClaInc : 0.0;
-  C.Lits = std::move(Lits);
-  Watches[negLit(C.Lits[0])].push_back({Ref, C.Lits[1]});
-  Watches[negLit(C.Lits[1])].push_back({Ref, C.Lits[0]});
-  Clauses.push_back(std::move(C));
+  ++NumClauses;
+  Arena.resize(Ref + HeaderWords + Lits.size());
+  Arena[Ref] = (uint32_t)Lits.size();
+  Arena[Ref + 1] = Lbd << 2 | (Learned ? LearnedBit : 0);
+  setActivity(Ref, Learned ? ClaInc : 0.0);
+  std::copy(Lits.begin(), Lits.end(), clauseLits(Ref));
+  uint32_t RefBin = Ref << 1 | (Lits.size() == 2);
+  Watches[negLit(Lits[0])].push_back({RefBin, Lits[1]});
+  Watches[negLit(Lits[1])].push_back({RefBin, Lits[0]});
   return Ref;
 }
 
@@ -116,6 +116,7 @@ SatSolver::CRef SatSolver::propagate() {
     Lit P = Trail[QHead++];
     ++Propagations;
     std::vector<Watcher> &Ws = Watches[P];
+    Lit FalseLit = negLit(P);
     size_t I = 0, J = 0;
     CRef Confl = NoReason;
     while (I < Ws.size()) {
@@ -124,25 +125,41 @@ SatSolver::CRef SatSolver::propagate() {
         Ws[J++] = W;
         continue;
       }
-      Clause &C = Clauses[W.Ref];
-      if (C.Deleted)
-        continue; // drop stale watcher
+      if (W.binary()) {
+        // The blocker is the other literal: the clause is unit or false.
+        Ws[J++] = W;
+        if (value(W.Blocker) == -1) {
+          // Leave the record as [other, falsified], the order the
+          // long-clause visit below leaves a conflict in.
+          Lit *Lits = clauseLits(W.ref());
+          Lits[0] = W.Blocker;
+          Lits[1] = FalseLit;
+          while (I < Ws.size())
+            Ws[J++] = Ws[I++];
+          Confl = W.ref();
+        } else {
+          enqueue(W.Blocker, W.ref());
+        }
+        continue;
+      }
+      CRef Ref = W.ref();
+      Lit *Lits = clauseLits(Ref);
+      uint32_t Size = clauseSize(Ref);
       // Ensure the false literal is at position 1.
-      Lit FalseLit = negLit(P);
-      if (C.Lits[0] == FalseLit)
-        std::swap(C.Lits[0], C.Lits[1]);
-      assert(C.Lits[1] == FalseLit && "watch invariant broken");
-      Lit First = C.Lits[0];
+      if (Lits[0] == FalseLit)
+        std::swap(Lits[0], Lits[1]);
+      assert(Lits[1] == FalseLit && "watch invariant broken");
+      Lit First = Lits[0];
       if (First != W.Blocker && value(First) == 1) {
-        Ws[J++] = {W.Ref, First};
+        Ws[J++] = {W.RefBin, First};
         continue;
       }
       // Look for a new literal to watch.
       bool FoundWatch = false;
-      for (size_t K = 2; K < C.Lits.size(); ++K) {
-        if (value(C.Lits[K]) != -1) {
-          std::swap(C.Lits[1], C.Lits[K]);
-          Watches[negLit(C.Lits[1])].push_back({W.Ref, First});
+      for (uint32_t K = 2; K < Size; ++K) {
+        if (value(Lits[K]) != -1) {
+          std::swap(Lits[1], Lits[K]);
+          Watches[negLit(Lits[1])].push_back({W.RefBin, First});
           FoundWatch = true;
           break;
         }
@@ -150,14 +167,14 @@ SatSolver::CRef SatSolver::propagate() {
       if (FoundWatch)
         continue;
       // Clause is unit or conflicting.
-      Ws[J++] = {W.Ref, First};
+      Ws[J++] = {W.RefBin, First};
       if (value(First) == -1) {
         // Conflict: copy the rest of the watchers and bail out.
         while (I < Ws.size())
           Ws[J++] = Ws[I++];
-        Confl = W.Ref;
+        Confl = Ref;
       } else {
-        enqueue(First, W.Ref);
+        enqueue(First, Ref);
       }
     }
     Ws.resize(J);
@@ -178,11 +195,12 @@ void SatSolver::bumpVar(int Var) {
     heapUp(HeapPos[Var]);
 }
 
-void SatSolver::bumpClause(Clause &C) {
-  C.Activity += ClaInc;
-  if (C.Activity > 1e20) {
-    for (Clause &Cl : Clauses)
-      Cl.Activity *= 1e-20;
+void SatSolver::bumpClause(CRef R) {
+  double A = activity(R) + ClaInc;
+  setActivity(R, A);
+  if (A > 1e20) {
+    for (CRef C = 0; C < Arena.size(); C = nextClause(C))
+      setActivity(C, activity(C) * 1e-20);
     ClaInc *= 1e-20;
   }
 }
@@ -192,21 +210,23 @@ void SatSolver::decayActivities() {
   ClaInc /= 0.999;
 }
 
-void SatSolver::analyze(CRef Confl, std::vector<Lit> &OutLearnt,
-                        int &OutBtLevel, uint32_t &OutLbd) {
-  OutLearnt.clear();
-  OutLearnt.push_back(0); // placeholder for the asserting literal
+void SatSolver::analyze(CRef Confl, int &OutBtLevel, uint32_t &OutLbd) {
+  Learnt.clear();
+  Learnt.push_back(0); // placeholder for the asserting literal
   int PathCount = 0;
   Lit P = -1;
   size_t Index = Trail.size();
 
   do {
     assert(Confl != NoReason && "no reason for conflict-side literal");
-    Clause &C = Clauses[Confl];
-    if (C.Learned)
-      bumpClause(C);
-    for (size_t K = (P == -1 ? 0 : 1); K < C.Lits.size(); ++K) {
-      Lit Q = C.Lits[K];
+    if (isLearned(Confl))
+      bumpClause(Confl);
+    // The conflict clause is read whole; a reason without its implied
+    // literal P.
+    const Lit *Lits = P == -1 ? clauseLits(Confl) : reasonLits(Confl, P);
+    uint32_t Size = clauseSize(Confl);
+    for (uint32_t K = (P == -1 ? 0 : 1); K < Size; ++K) {
+      Lit Q = Lits[K];
       int V = litVar(Q);
       if (SeenBuf[V] || Level[V] == 0)
         continue;
@@ -216,7 +236,7 @@ void SatSolver::analyze(CRef Confl, std::vector<Lit> &OutLearnt,
       if (Level[V] >= decisionLevel())
         ++PathCount;
       else
-        OutLearnt.push_back(Q);
+        Learnt.push_back(Q);
     }
     // Find the next literal on the trail to resolve on.
     while (!SeenBuf[litVar(Trail[Index - 1])])
@@ -226,38 +246,38 @@ void SatSolver::analyze(CRef Confl, std::vector<Lit> &OutLearnt,
     SeenBuf[litVar(P)] = 0;
     --PathCount;
   } while (PathCount > 0);
-  OutLearnt[0] = negLit(P);
+  Learnt[0] = negLit(P);
 
   // Clause minimization: drop literals implied by the rest.
   uint32_t AbstractLevels = 0;
-  for (size_t K = 1; K < OutLearnt.size(); ++K)
-    AbstractLevels |= 1u << (Level[litVar(OutLearnt[K])] & 31);
+  for (size_t K = 1; K < Learnt.size(); ++K)
+    AbstractLevels |= 1u << (Level[litVar(Learnt[K])] & 31);
   size_t NewSize = 1;
-  for (size_t K = 1; K < OutLearnt.size(); ++K) {
-    if (Reasons[litVar(OutLearnt[K])] == NoReason ||
-        !litRedundant(OutLearnt[K], AbstractLevels))
-      OutLearnt[NewSize++] = OutLearnt[K];
+  for (size_t K = 1; K < Learnt.size(); ++K) {
+    if (Reasons[litVar(Learnt[K])] == NoReason ||
+        !litRedundant(Learnt[K], AbstractLevels))
+      Learnt[NewSize++] = Learnt[K];
   }
-  OutLearnt.resize(NewSize);
+  Learnt.resize(NewSize);
 
   // Find backtrack level = max level among the non-asserting literals.
   OutBtLevel = 0;
-  if (OutLearnt.size() > 1) {
+  if (Learnt.size() > 1) {
     size_t MaxI = 1;
-    for (size_t K = 2; K < OutLearnt.size(); ++K)
-      if (Level[litVar(OutLearnt[K])] > Level[litVar(OutLearnt[MaxI])])
+    for (size_t K = 2; K < Learnt.size(); ++K)
+      if (Level[litVar(Learnt[K])] > Level[litVar(Learnt[MaxI])])
         MaxI = K;
-    std::swap(OutLearnt[1], OutLearnt[MaxI]);
-    OutBtLevel = Level[litVar(OutLearnt[1])];
+    std::swap(Learnt[1], Learnt[MaxI]);
+    OutBtLevel = Level[litVar(Learnt[1])];
   }
 
   // LBD = number of distinct decision levels in the learnt clause.
-  std::vector<int> Levels;
-  for (Lit L : OutLearnt)
-    Levels.push_back(Level[litVar(L)]);
-  std::sort(Levels.begin(), Levels.end());
-  OutLbd = (uint32_t)(std::unique(Levels.begin(), Levels.end()) -
-                      Levels.begin());
+  LevelBuf.clear();
+  for (Lit L : Learnt)
+    LevelBuf.push_back(Level[litVar(L)]);
+  std::sort(LevelBuf.begin(), LevelBuf.end());
+  OutLbd = (uint32_t)(std::unique(LevelBuf.begin(), LevelBuf.end()) -
+                      LevelBuf.begin());
 
   // Clear every mark made during this analysis (including marks left by
   // successful litRedundant probes).
@@ -269,8 +289,10 @@ void SatSolver::analyze(CRef Confl, std::vector<Lit> &OutLearnt,
 bool SatSolver::litRedundant(Lit L, uint32_t AbstractLevels) {
   // DFS over the implication graph checking that every antecedent is either
   // seen or at level 0. Conservative: bails out on decision variables.
-  std::vector<Lit> Stack{L};
-  std::vector<int> Touched;
+  std::vector<Lit> &Stack = RedStack;
+  std::vector<int> &Touched = RedTouched;
+  Stack.assign(1, L);
+  Touched.clear();
   bool Redundant = true;
   while (!Stack.empty() && Redundant) {
     Lit Cur = Stack.back();
@@ -280,9 +302,11 @@ bool SatSolver::litRedundant(Lit L, uint32_t AbstractLevels) {
       Redundant = false;
       break;
     }
-    const Clause &C = Clauses[R];
-    for (size_t K = 1; K < C.Lits.size(); ++K) {
-      Lit Q = C.Lits[K];
+    // Cur is false; its reason implies the true literal !Cur.
+    const Lit *Lits = reasonLits(R, negLit(Cur));
+    uint32_t Size = clauseSize(R);
+    for (uint32_t K = 1; K < Size; ++K) {
+      Lit Q = Lits[K];
       int V = litVar(Q);
       if (SeenBuf[V] || Level[V] == 0)
         continue;
@@ -323,32 +347,73 @@ void SatSolver::reduceDB() {
   // Drop the worst half of the learned clauses by (LBD, activity), keeping
   // reasons and glue (LBD <= 2) clauses.
   std::vector<CRef> Learned;
-  for (CRef I = 0; I < (CRef)Clauses.size(); ++I) {
-    Clause &C = Clauses[I];
-    if (!C.Learned || C.Deleted || C.Lbd <= 2)
+  for (CRef R = 0; R < Arena.size(); R = nextClause(R)) {
+    if (!isLearned(R) || lbd(R) <= 2)
       continue;
-    bool IsReason = false;
     // A clause is locked if it is the reason of its first literal.
-    int V0 = litVar(C.Lits[0]);
-    if (Assign[V0] != 0 && Reasons[V0] == I)
-      IsReason = true;
-    if (!IsReason)
-      Learned.push_back(I);
+    int V0 = litVar(clauseLits(R)[0]);
+    if (Assign[V0] != 0 && Reasons[V0] == R)
+      continue;
+    Learned.push_back(R);
   }
   std::sort(Learned.begin(), Learned.end(), [this](CRef A, CRef B) {
-    const Clause &CA = Clauses[A], &CB = Clauses[B];
-    if (CA.Lbd != CB.Lbd)
-      return CA.Lbd > CB.Lbd;
-    return CA.Activity < CB.Activity;
+    if (lbd(A) != lbd(B))
+      return lbd(A) > lbd(B);
+    return activity(A) < activity(B);
   });
   for (size_t I = 0; I < Learned.size() / 2; ++I) {
-    Clause &C = Clauses[Learned[I]];
-    TotalLiterals -= C.Lits.size();
-    C.Deleted = true;
-    C.Lits.clear();
-    C.Lits.shrink_to_fit();
+    CRef R = Learned[I];
+    TotalLiterals -= clauseSize(R);
+    --NumClauses;
+    Arena[R + 1] |= DeletedBit;
   }
-  // Stale watchers are skipped lazily in propagate().
+  compactArena();
+}
+
+void SatSolver::compactArena() {
+  // Pass 1: over the old layout, set each record's size word aside and
+  // replace it with the record's new offset (NoReason once deleted).
+  std::vector<uint32_t> Sizes;
+  CRef To = 0;
+  for (CRef R = 0; R < Arena.size(); R += HeaderWords + Sizes.back()) {
+    Sizes.push_back(clauseSize(R));
+    if (isDeleted(R)) {
+      Arena[R] = NoReason;
+      continue;
+    }
+    Arena[R] = To;
+    To += HeaderWords + Sizes.back();
+  }
+  // Pass 2: relocate watchers, dropping the deleted clauses' ones, and
+  // reasons, which are never deleted (reduceDB keeps locked clauses).
+  for (std::vector<Watcher> &Ws : Watches) {
+    size_t J = 0;
+    for (Watcher W : Ws) {
+      CRef New = Arena[W.ref()];
+      if (New != NoReason)
+        Ws[J++] = {New << 1 | W.binary(), W.Blocker};
+    }
+    Ws.resize(J);
+  }
+  for (CRef &R : Reasons)
+    if (R != NoReason) {
+      assert(Arena[R] != NoReason && "a reason clause was deleted");
+      R = Arena[R];
+    }
+  // Pass 3: slide the live records down in order, restoring their sizes.
+  // A record only ever moves down, past records already moved, so every
+  // record is intact when its turn comes.
+  CRef From = 0;
+  for (uint32_t Size : Sizes) {
+    CRef New = Arena[From];
+    if (New != NoReason) {
+      std::memmove(&Arena[New], &Arena[From],
+                   (HeaderWords + Size) * sizeof(uint32_t));
+      Arena[New] = Size;
+    }
+    From += HeaderWords + Size;
+  }
+  Arena.resize(To);
 }
 
 uint64_t SatSolver::lubySequence(uint64_t I) {
@@ -433,7 +498,6 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
   uint64_t RestartBudget = 64 * lubySequence(RestartCount);
   uint64_t ConflictsAtStart = Conflicts;
   uint64_t NextReduce = 4000;
-  std::vector<Lit> Learnt;
 
   while (true) {
     CRef Confl = propagate();
@@ -446,7 +510,7 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
       }
       int BtLevel;
       uint32_t Lbd;
-      analyze(Confl, Learnt, BtLevel, Lbd);
+      analyze(Confl, BtLevel, Lbd);
       backtrack(BtLevel);
       if (Learnt.size() == 1) {
         enqueue(Learnt[0], NoReason);

@@ -6,9 +6,10 @@
 ///
 /// \file
 /// A from-scratch CDCL SAT solver in the MiniSat lineage: two-literal
-/// watching, first-UIP conflict analysis with recursive-lite clause
-/// minimization, EVSIDS branching with phase saving, Luby restarts and
-/// LBD-based learned-clause reduction. It is the decision procedure behind
+/// watching over one compacting clause arena (binary clauses are decided
+/// from their watchers alone), first-UIP conflict analysis with
+/// recursive-lite clause minimization, EVSIDS branching with phase saving,
+/// Luby restarts and LBD-based learned-clause reduction. It is the decision procedure behind
 /// the bit-blaster and deliberately supports resource budgets (wall-clock,
 /// conflicts, memory) so the translation validator can report the same
 /// Timeout / OOM verdict classes as the paper's Figures 7 and 8.
@@ -22,7 +23,11 @@
 #include "support/Reason.h"
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
+#include <cstring>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace alive::smt {
@@ -71,11 +76,15 @@ public:
 
   /// Adds a clause (simplifying duplicates/tautologies).
   /// \returns false if the database became trivially unsatisfiable.
-  bool addClause(std::vector<Lit> Lits);
-  bool addClause(Lit A) { return addClause(std::vector<Lit>{A}); }
-  bool addClause(Lit A, Lit B) { return addClause(std::vector<Lit>{A, B}); }
+  bool addClause(std::span<const Lit> Lits);
+  bool addClause(Lit A) { return addClause(std::span<const Lit>(&A, 1)); }
+  bool addClause(Lit A, Lit B) {
+    const Lit Lits[] = {A, B};
+    return addClause(Lits);
+  }
   bool addClause(Lit A, Lit B, Lit C) {
-    return addClause(std::vector<Lit>{A, B, C});
+    const Lit Lits[] = {A, B, C};
+    return addClause(Lits);
   }
 
   SatStatus solve(const SatLimits &Limits = SatLimits());
@@ -93,27 +102,33 @@ public:
   uint64_t numRestarts() const { return Restarts; }
   uint64_t numLearnedClauses() const { return LearnedClauses; }
   uint64_t numDbReductions() const { return DbReductions; }
-  size_t numClauses() const;
+  /// Live (original plus kept learned) clauses of two or more literals.
+  size_t numClauses() const { return NumClauses; }
 
 private:
-  // Clause database. CRef indexes into Clauses; clauses are never moved,
-  // only marked deleted and skipped.
-  struct Clause {
-    double Activity = 0;
-    uint32_t Lbd = 0;
-    bool Learned = false;
-    bool Deleted = false;
-    std::vector<Lit> Lits;
-  };
-  using CRef = int32_t;
-  static constexpr CRef NoReason = -1;
+  // Clause database: one arena of 32-bit words holding every clause as a
+  // record [size, LBD << 2 | learned << 1 | deleted, activity (a double over
+  // two words), literals...]. A CRef is the word offset of a record. Records
+  // stay in creation order; reduceDB() drops the deleted ones by sliding
+  // the rest down and relocating watchers and reasons.
+  using CRef = uint32_t;
+  static constexpr CRef NoReason = ~CRef(0);
+  static constexpr uint32_t HeaderWords = 4;
+  static constexpr uint32_t LearnedBit = 2, DeletedBit = 1;
 
+  /// A watch-list entry: the clause's offset shifted left once with the low
+  /// bit set for a binary clause, and a blocker literal. A binary clause's
+  /// blocker is always its other literal, so propagate() decides it without
+  /// reading the record.
   struct Watcher {
-    CRef Ref;
+    uint32_t RefBin;
     Lit Blocker;
+    CRef ref() const { return RefBin >> 1; }
+    bool binary() const { return RefBin & 1; }
   };
 
-  std::vector<Clause> Clauses;
+  std::vector<uint32_t> Arena;
+  size_t NumClauses = 0;
   std::vector<std::vector<Watcher>> Watches; // indexed by Lit
   std::vector<int8_t> Assign;                // per var: 0 unset, 1 true, -1 false
   std::vector<int> Level;                    // per var
@@ -137,23 +152,60 @@ private:
   uint64_t Restarts = 0, LearnedClauses = 0, DbReductions = 0;
   std::vector<uint8_t> SeenBuf;
   std::vector<int> ToClear;
+  // Work buffers reused across calls, so neither adding a clause nor
+  // analysing a conflict allocates.
+  std::vector<Lit> AddBuf;      // addClause: the simplified clause
+  std::vector<Lit> Learnt;      // analyze: the learnt clause
+  std::vector<int> LevelBuf;    // analyze: levels for the LBD
+  std::vector<Lit> RedStack;    // litRedundant: DFS stack
+  std::vector<int> RedTouched;  // litRedundant: marks to roll back
 
   int decisionLevel() const { return (int)TrailLim.size(); }
   int8_t value(Lit L) const {
     int8_t V = Assign[litVar(L)];
     return litSign(L) ? (int8_t)-V : V;
   }
+
+  uint32_t clauseSize(CRef R) const { return Arena[R]; }
+  Lit *clauseLits(CRef R) {
+    return reinterpret_cast<Lit *>(Arena.data() + R + HeaderWords);
+  }
+  bool isLearned(CRef R) const { return Arena[R + 1] & LearnedBit; }
+  bool isDeleted(CRef R) const { return Arena[R + 1] & DeletedBit; }
+  uint32_t lbd(CRef R) const { return Arena[R + 1] >> 2; }
+  double activity(CRef R) const {
+    double A;
+    std::memcpy(&A, &Arena[R + 2], sizeof A);
+    return A;
+  }
+  void setActivity(CRef R, double A) {
+    std::memcpy(&Arena[R + 2], &A, sizeof A);
+  }
+  CRef nextClause(CRef R) const { return R + HeaderWords + clauseSize(R); }
+  /// The literals of \p R, the reason for the true literal \p Implied, with
+  /// \p Implied first. Propagation keeps that order in long clauses; a
+  /// binary clause is propagated from its watcher alone, so it is ordered
+  /// here, when a conflict analysis first reads it.
+  Lit *reasonLits(CRef R, Lit Implied) {
+    Lit *Lits = clauseLits(R);
+    if (Lits[0] != Implied)
+      std::swap(Lits[0], Lits[1]);
+    assert(Lits[0] == Implied && "reason does not imply the literal");
+    return Lits;
+  }
+
   void enqueue(Lit L, CRef From);
   CRef propagate();
-  void analyze(CRef Confl, std::vector<Lit> &OutLearnt, int &OutBtLevel,
-               uint32_t &OutLbd);
+  /// Leaves the first-UIP clause of conflict \p Confl in Learnt.
+  void analyze(CRef Confl, int &OutBtLevel, uint32_t &OutLbd);
   bool litRedundant(Lit L, uint32_t AbstractLevels);
   void backtrack(int ToLevel);
   void bumpVar(int Var);
-  void bumpClause(Clause &C);
+  void bumpClause(CRef R);
   void decayActivities();
-  CRef attachClause(std::vector<Lit> Lits, bool Learned, uint32_t Lbd);
+  CRef attachClause(std::span<const Lit> Lits, bool Learned, uint32_t Lbd);
   void reduceDB();
+  void compactArena();
   void rebuildHeap();
   void heapInsert(int Var);
   int heapPop();

@@ -16,9 +16,11 @@
 using namespace alive;
 using namespace alive::smt;
 
-Solver::Solver()
+Solver::Solver(size_t MaxLiterals)
     : Sat(std::make_unique<SatSolver>()),
-      Blaster(std::make_unique<BitBlaster>(*Sat)) {}
+      Blaster(std::make_unique<BitBlaster>(*Sat)) {
+  Blaster->setLiteralBudget(MaxLiterals);
+}
 
 Solver::~Solver() = default;
 
@@ -41,10 +43,13 @@ Expr Solver::ackermannize(Expr E) {
       continue;
     }
     const Node &N = ExprCtx::get().node(AppId);
+    std::string FnName = N.Name;
+    unsigned Width = N.Width;
+    std::vector<ExprId> OpIds = N.Ops; // copy: interning may reallocate
     // Rewrite the arguments first (they may contain earlier apps). We route
     // through substitution on a reconstructed expression of each argument.
     std::vector<Expr> Args;
-    for (ExprId Op : N.Ops) {
+    for (ExprId Op : OpIds) {
       Expr Arg(Op);
       // Replace nested apps inside the argument.
       std::unordered_set<ExprId> Nested;
@@ -53,10 +58,10 @@ Expr Solver::ackermannize(Expr E) {
         Arg = rewriteApps(Arg, VarMap);
       Args.push_back(Arg);
     }
-    Expr ResVar = mkFreshVar("!ack." + N.Name, N.Width);
+    Expr ResVar = mkFreshVar("!ack." + FnName, Width);
     AckApp Entry{AppId, ResVar, Args};
     // Congruence against previously seen apps of the same function.
-    for (const AckApp &Prev : AckApps[N.Name]) {
+    for (const AckApp &Prev : AckApps[FnName]) {
       if (Prev.Args.size() != Args.size() ||
           Prev.ResultVar.width() != ResVar.width())
         continue;
@@ -70,7 +75,7 @@ Expr Solver::ackermannize(Expr E) {
         Blaster->assertTrue(Axiom);
       }
     }
-    AckApps[N.Name].push_back(std::move(Entry));
+    AckApps[FnName].push_back(std::move(Entry));
     AckCache[AppId] = ResVar;
     VarMap[AppId] = ResVar;
   }
@@ -187,7 +192,7 @@ SolveOutcome Solver::check(const SolverBudget &Budget) {
 }
 
 SolveOutcome smt::checkSat(Expr E, const SolverBudget &Budget) {
-  Solver S;
+  Solver S(Budget.MaxLiterals);
   S.add(E);
   return S.check(Budget);
 }

@@ -35,7 +35,9 @@ const char *toString(SatResult R);
 /// Resource budget for one satisfiability check.
 struct SolverBudget {
   double TimeoutSec = 60.0;
-  /// Approximate memory budget in CNF literals (~16 bytes each).
+  /// Approximate memory budget in CNF literals (~16 bytes each). It caps
+  /// the literals bit-blasting may emit as well as the clause database
+  /// during search.
   size_t MaxLiterals = size_t(1) << 26;
   uint64_t MaxConflicts = ~uint64_t(0);
   /// Optional cooperative cancellation flag, forwarded to SatLimits::Cancel
@@ -94,7 +96,10 @@ struct SolveOutcome {
 /// Incremental quantifier-free solver over the Expr language.
 class Solver {
 public:
-  Solver();
+  /// \p MaxLiterals caps the CNF literals bit-blasting may emit; past it,
+  /// check() answers Unknown with Reason::Memory without solving. Pass the
+  /// SolverBudget::MaxLiterals of the checks this solver will run.
+  explicit Solver(size_t MaxLiterals = SolverBudget().MaxLiterals);
   ~Solver();
 
   Solver(const Solver &) = delete;

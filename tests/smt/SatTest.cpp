@@ -4,8 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 // Tests for the CDCL SAT core: hand-built instances, pigeonhole UNSAT
-// certificates, budget handling, incremental solving, and a randomized
-// cross-check against a brute-force enumerator.
+// certificates, budget handling, incremental solving, learned-clause
+// database reduction, pinned search effort, and a randomized cross-check
+// against a brute-force enumerator.
 //===----------------------------------------------------------------------===//
 
 #include "smt/Sat.h"
@@ -95,6 +96,77 @@ TEST(Sat, PigeonholeUnsat) {
     buildPigeonhole(S, Holes);
     EXPECT_EQ(S.solve(), SatStatus::Unsat) << "PHP with " << Holes;
   }
+}
+
+TEST(Sat, PigeonholeReducesClauseDatabase) {
+  // PHP(8,7) runs past the first reduction (after 4000 conflicts), so the
+  // search continues on a compacted clause arena.
+  SatSolver S;
+  buildPigeonhole(S, 7);
+  size_t Original = S.numClauses();
+  EXPECT_EQ(S.solve(), SatStatus::Unsat);
+  EXPECT_GE(S.numDbReductions(), 1u);
+  EXPECT_GT(S.numLearnedClauses(), 4000u);
+  // Reduction deleted learned clauses; the originals all survive.
+  EXPECT_GE(S.numClauses(), Original);
+  EXPECT_LT(S.numClauses(), Original + S.numLearnedClauses());
+}
+
+/// True if the solver's model satisfies every clause of \p Clauses.
+static bool modelSatisfies(const SatSolver &S,
+                           const std::vector<std::vector<Lit>> &Clauses) {
+  for (const std::vector<Lit> &C : Clauses) {
+    bool ClauseSat = false;
+    for (Lit L : C)
+      ClauseSat |= S.modelValue(litVar(L)) != litSign(L);
+    if (!ClauseSat)
+      return false;
+  }
+  return true;
+}
+
+TEST(Sat, SatisfiableAfterReductionAndIncrementalAdd) {
+  // Random 3-SAT near the phase transition (150 variables, ratio 4.26);
+  // seed 48 is satisfiable and takes ~4900 conflicts, one reduction.
+  const int NumVars = 150;
+  Rng R(48);
+  SatSolver S;
+  for (int I = 0; I < NumVars; ++I)
+    S.newVar();
+  std::vector<std::vector<Lit>> Clauses;
+  for (int I = 0; I < (int)(NumVars * 4.26); ++I) {
+    std::vector<Lit> C;
+    for (int J = 0; J < 3; ++J)
+      C.push_back(mkLit((int)R.next(NumVars), R.chance(1, 2)));
+    Clauses.push_back(C);
+    ASSERT_TRUE(S.addClause(C));
+  }
+  ASSERT_EQ(S.solve(), SatStatus::Sat);
+  EXPECT_GE(S.numDbReductions(), 1u);
+  EXPECT_TRUE(modelSatisfies(S, Clauses));
+
+  // Keep solving on the compacted database: block the model found, so the
+  // next one must differ, and check it against every clause.
+  std::vector<Lit> Block;
+  for (int V = 0; V < NumVars; ++V)
+    Block.push_back(mkLit(V, S.modelValue(V)));
+  Clauses.push_back(Block);
+  ASSERT_TRUE(S.addClause(Block));
+  ASSERT_EQ(S.solve(), SatStatus::Sat);
+  EXPECT_TRUE(modelSatisfies(S, Clauses));
+}
+
+TEST(Sat, SearchEffortIsPinned) {
+  // The exact effort of a fixed instance. The clause store's layout must not
+  // change the search: a change that alters branching, learning, restarts
+  // or reduction updates these numbers on purpose.
+  SatSolver S;
+  buildPigeonhole(S, 7);
+  ASSERT_EQ(S.solve(), SatStatus::Unsat);
+  EXPECT_EQ(S.numConflicts(), 5144u);
+  EXPECT_EQ(S.numDecisions(), 6834u);
+  EXPECT_EQ(S.numPropagations(), 68589u);
+  EXPECT_EQ(S.numDbReductions(), 1u);
 }
 
 TEST(Sat, ConflictBudgetReturnsUnknown) {

@@ -126,6 +126,35 @@ TEST(Solver, TimeoutVerdict) {
     EXPECT_EQ(R.UnknownReason, support::Reason::Timeout);
 }
 
+TEST(Solver, LiteralBudgetStopsBitBlasting) {
+  // The budget reaches the bit-blaster: a multiplier needs far more than 100
+  // literals, so the check answers Memory before the SAT search starts.
+  Expr X = mkFreshVar("x", 32), Y = mkFreshVar("y", 32);
+  SolverBudget B;
+  B.MaxLiterals = 100;
+  SolveOutcome R = checkSat(mkEq(mkMul(X, Y), mkBV(32, 12345)), B);
+  ASSERT_TRUE(R.isUnknown());
+  EXPECT_EQ(R.UnknownReason, support::Reason::Memory);
+  EXPECT_EQ(R.Stats.Checks, 0u);
+}
+
+TEST(Solver, BitBlastedSearchEffortIsPinned) {
+  // The exact effort of a fixed bit-blasted query: 5-bit distributivity,
+  // valid, so the check is Unsat after a search that passes one reduction
+  // of the learned clauses. Bit-blasting and the SAT core must not change
+  // the search; a change that means to updates these numbers on purpose.
+  resetContext(); // operand order of commutative nodes follows interning
+  Expr X = mkFreshVar("x", 5), Y = mkFreshVar("y", 5), Z = mkFreshVar("z", 5);
+  Solver S;
+  S.add(mkNe(mkMul(X, mkAdd(Y, Z)), mkAdd(mkMul(X, Y), mkMul(X, Z))));
+  SolveOutcome R = S.check();
+  ASSERT_TRUE(R.isUnsat());
+  EXPECT_EQ(S.numConflicts(), 6719u);
+  EXPECT_EQ(S.numDecisions(), 8570u);
+  EXPECT_EQ(S.numPropagations(), 432718u);
+  EXPECT_EQ(R.Stats.Clauses, 5442u);
+}
+
 TEST(Solver, CheckIsRepeatable) {
   Expr X = mkFreshVar("x", 8);
   Solver S;
