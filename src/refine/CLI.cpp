@@ -56,13 +56,34 @@ bool cli::parseDuration(const char *S, double &Out) {
   return true;
 }
 
+const char *cli::flagValue(int Argc, char **Argv, int &I) {
+  if (I + 1 >= Argc) {
+    std::fprintf(stderr, "error: %s requires a value\n", Argv[I]);
+    return nullptr;
+  }
+  return Argv[++I];
+}
+
+bool cli::unsignedFlag(int Argc, char **Argv, int &I, unsigned &Out) {
+  const char *Flag = Argv[I];
+  const char *Val = flagValue(Argc, Argv, I);
+  if (!Val)
+    return false;
+  if (!parseUnsigned(Val, Out)) {
+    std::fprintf(stderr, "error: %s expects an integer, got '%s'\n", Flag,
+                 Val);
+    return false;
+  }
+  return true;
+}
+
 std::string cli::optionsUsage(bool IncludeJobs) {
   std::string U;
   if (IncludeJobs)
     U += "  -j N             verify pairs on N parallel workers "
          "(0 = one per hardware thread)\n";
   U += "  --unroll N       loop unroll bound (default 2)\n"
-       "  --timeout SEC    per-SMT-query solver budget in seconds\n"
+       "  --timeout SEC    solver time budget per pair in seconds\n"
        "  --equivalence    check plain equivalence instead of refinement\n"
        "  --cache-dir DIR  persist the result cache to DIR/alive2re.cache "
        "(warm runs skip\n"
@@ -84,28 +105,14 @@ std::string cli::optionsUsage(bool IncludeJobs) {
 
 Parsed OptionsParser::consume(int Argc, char **Argv, int &I) {
   const char *A = Argv[I];
-  // Fetches the flag's value slot; a missing one is an Error (so flags
-  // never fall through to a tool's positional handling half-parsed).
+  // A flag with a missing value is an Error, so flags never fall through to
+  // a tool's positional handling half-parsed.
   const char *Val = nullptr;
-  auto value = [&]() {
-    if (I + 1 >= Argc) {
-      std::fprintf(stderr, "error: %s requires a value\n", A);
-      return false;
-    }
-    Val = Argv[++I];
-    return true;
-  };
+  auto value = [&]() { return (Val = flagValue(Argc, Argv, I)) != nullptr; };
 
-  if (!std::strcmp(A, "--unroll")) {
-    if (!value())
-      return Parsed::Error;
-    if (!parseUnsigned(Val, Opts.UnrollFactor)) {
-      std::fprintf(stderr, "error: --unroll expects an integer, got '%s'\n",
-                   Val);
-      return Parsed::Error;
-    }
-    return Parsed::Ok;
-  }
+  if (!std::strcmp(A, "--unroll"))
+    return unsignedFlag(Argc, Argv, I, Opts.UnrollFactor) ? Parsed::Ok
+                                                           : Parsed::Error;
   if (!std::strcmp(A, "--timeout")) {
     if (!value())
       return Parsed::Error;
@@ -137,16 +144,9 @@ Parsed OptionsParser::consume(int Argc, char **Argv, int &I) {
     Opts.Cache.QueryLevel = Opts.Cache.PairLevel = false;
     return Parsed::Ok;
   }
-  if (!std::strcmp(A, "--retry")) {
-    if (!value())
-      return Parsed::Error;
-    if (!parseUnsigned(Val, Opts.Retry.MaxRungs)) {
-      std::fprintf(stderr, "error: --retry expects an integer, got '%s'\n",
-                   Val);
-      return Parsed::Error;
-    }
-    return Parsed::Ok;
-  }
+  if (!std::strcmp(A, "--retry"))
+    return unsignedFlag(Argc, Argv, I, Opts.Retry.MaxRungs) ? Parsed::Ok
+                                                             : Parsed::Error;
   if (!std::strcmp(A, "--deadline")) {
     if (!value())
       return Parsed::Error;
@@ -173,15 +173,8 @@ Parsed OptionsParser::consume(int Argc, char **Argv, int &I) {
     Opts.MaxRssBytes = (size_t)Mb << 20;
     return Parsed::Ok;
   }
-  if (Jobs && (!std::strcmp(A, "-j") || !std::strcmp(A, "--jobs"))) {
-    if (!value())
-      return Parsed::Error;
-    if (!parseUnsigned(Val, *Jobs)) {
-      std::fprintf(stderr, "error: %s expects an integer, got '%s'\n", A, Val);
-      return Parsed::Error;
-    }
-    return Parsed::Ok;
-  }
+  if (Jobs && (!std::strcmp(A, "-j") || !std::strcmp(A, "--jobs")))
+    return unsignedFlag(Argc, Argv, I, *Jobs) ? Parsed::Ok : Parsed::Error;
   return Parsed::NotMine;
 }
 

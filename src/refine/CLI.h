@@ -37,6 +37,16 @@ bool parseDouble(const char *S, double &Out);
 /// and an "ms" / "s" / "m" / "h" suffix scales it ("30s", "1.5m", "250ms").
 bool parseDuration(const char *S, double &Out);
 
+/// The value of the flag at \p Argv[\p I], advancing \p I. A missing value
+/// is diagnosed on stderr ("error: <flag> requires a value") and yields
+/// null.
+const char *flagValue(int Argc, char **Argv, int &I);
+
+/// Parses the integer value of the flag at \p Argv[\p I] into \p Out,
+/// advancing \p I. A missing or malformed value is diagnosed on stderr
+/// ("error: <flag> expects an integer, got '<value>'") and yields false.
+bool unsignedFlag(int Argc, char **Argv, int &I, unsigned &Out);
+
 /// Outcome of offering one argv slot to the shared parser.
 enum class Parsed {
   NotMine, ///< not a shared flag: the tool handles it

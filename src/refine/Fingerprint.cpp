@@ -58,8 +58,6 @@ support::Fingerprint refine::fingerprintPair(const ir::Function &Src,
   // tests change exactly these fields).
   H.u64(Opts.UnrollFactor);
   H.u64(Opts.EquivalenceMode);
-  H.u64(Opts.CheckMemory);
-  H.u64(Opts.CheckCalls);
   H.u64(Opts.UseInstantiationSeeds);
   H.u64(bits(Opts.Budget.TimeoutSec));
   H.u64(Opts.Budget.MaxLiterals);

@@ -18,8 +18,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 
@@ -29,13 +27,6 @@ using namespace alive::smt;
 using namespace alive::sema;
 using ir::Function;
 using ir::Module;
-
-/// ALIVE_EF_DEBUG=1 streams the engine's search progress to stderr (the
-/// LLVM_DEBUG analog for this project). Cached once per process.
-static bool debugEnabled() {
-  static const bool On = std::getenv("ALIVE_EF_DEBUG") != nullptr;
-  return On;
-}
 
 std::string Options::validate() const {
   if (UnrollFactor == 0)
@@ -140,46 +131,113 @@ private:
     return V;
   }
 
-  /// Appends one per-query cost record and mirrors it as a "query" trace
-  /// event. Called exactly once per ++Queries so QueriesRun, the Queries
-  /// vector and the trace stay in lockstep.
-  void recordQuery(QueryStats QS) {
-    if (trace::enabled())
-      trace::Event("query")
-          .str("check", QS.Check)
-          .str("result", toString(QS.Result))
-          .num("seconds", QS.Seconds)
-          .num("solver_seconds", QS.SolverSeconds)
-          .num("sat_checks", QS.SatChecks)
-          .num("ef_iterations", QS.EFIterations)
-          .num("conflicts", QS.Conflicts)
-          .num("decisions", QS.Decisions)
-          .num("propagations", QS.Propagations)
-          .num("clauses", QS.Clauses)
-          .flag("cached", QS.CacheHit);
-    stats::addSample("time.query", QS.Seconds);
-    QStats.push_back(std::move(QS));
-  }
+  /// One staged query's answer, from the solver or the query cache. When
+  /// Sat, Approx marks a model involving an over-approximated feature and
+  /// Detail is the text a verdict shows.
+  struct Answer {
+    QueryResult Result = QueryResult::Unknown;
+    Reason Why = Reason::None;
+    bool Approx = false;
+    std::string Detail;
+    SolveStats Cost;
+    unsigned Iterations = 0;
+  };
+
+  /// The protocol of every staged query, step 1 included: one
+  /// "staged_query" span, one refine.queries bump and one QueryStats record
+  /// per call, so QueriesRun, the Queries vector and the trace stay in
+  /// lockstep. With the query cache on, \p Fingerprint() keys a lookup
+  /// before \p Solve() runs and a fill after it decides; unknowns are
+  /// budget artifacts and never cached.
+  template <typename FpFn, typename SolveFn>
+  Answer stagedQuery(const std::string &Check, FpFn Fingerprint,
+                     SolveFn Solve);
 
   /// Runs one EF query; classifies its result. \returns empty optional when
   /// refinement holds for this check.
   std::optional<Verdict> runQuery(const std::string &CheckName,
                                   std::vector<Expr> ExtraOuter, Expr ExtraPhi);
-
 };
 
-std::optional<Verdict>
-RefinementCheck::runQuery(const std::string &CheckName,
-                          std::vector<Expr> ExtraOuter, Expr ExtraPhi) {
-  prof::Span ProfSpan("staged_query", CheckName);
+QueryResult toQueryResult(SatResult R) {
+  return R == SatResult::Unsat ? QueryResult::Unsat
+         : R == SatResult::Sat ? QueryResult::Sat
+                               : QueryResult::Unknown;
+}
+
+template <typename FpFn, typename SolveFn>
+RefinementCheck::Answer
+RefinementCheck::stagedQuery(const std::string &Check, FpFn Fingerprint,
+                             SolveFn Solve) {
+  prof::Span ProfSpan("staged_query", Check);
   ++Queries;
   ALIVE_STAT_COUNTER(QueryCount, "refine.queries");
   QueryCount.inc();
   Stopwatch QTimer;
+
+  // The query is fully assembled, so its canonical fingerprint is available
+  // before any solver work. A hit skips the search entirely; sat-side hits
+  // replay the rendered counterexample (plain text: models never cross the
+  // cache).
+  Answer A;
+  support::Fingerprint Fp;
+  bool Hit = false;
+  if (QC) {
+    prof::Span FpSpan("cache_lookup", Check);
+    Fp = Fingerprint();
+    support::CachedQuery Cached;
+    if ((Hit = QC->findQuery(Fp, Cached))) {
+      A.Result = Cached.Result == support::CachedQueryResult::Unsat
+                     ? QueryResult::Unsat
+                     : QueryResult::Sat;
+      A.Approx = Cached.Result == support::CachedQueryResult::SatApprox;
+      A.Detail = std::move(Cached.Detail);
+    }
+  }
+  if (!Hit)
+    A = Solve();
+
   QueryStats QS;
-  QS.Check = CheckName;
-  if (debugEnabled())
-    fprintf(stderr, "[refine] query: %s\n", CheckName.c_str());
+  QS.Check = Check;
+  QS.Result = A.Result;
+  QS.Seconds = QTimer.seconds();
+  QS.SolverSeconds = A.Cost.Seconds;
+  QS.SatChecks = A.Cost.Checks;
+  QS.EFIterations = A.Iterations;
+  QS.Conflicts = A.Cost.Conflicts;
+  QS.Decisions = A.Cost.Decisions;
+  QS.Propagations = A.Cost.Propagations;
+  QS.Clauses = A.Cost.Clauses;
+  QS.CacheHit = Hit;
+  if (trace::enabled())
+    trace::Event("query")
+        .str("check", QS.Check)
+        .str("result", toString(QS.Result))
+        .num("seconds", QS.Seconds)
+        .num("solver_seconds", QS.SolverSeconds)
+        .num("sat_checks", QS.SatChecks)
+        .num("ef_iterations", QS.EFIterations)
+        .num("conflicts", QS.Conflicts)
+        .num("decisions", QS.Decisions)
+        .num("propagations", QS.Propagations)
+        .num("clauses", QS.Clauses)
+        .flag("cached", QS.CacheHit);
+  stats::addSample("time.query", QS.Seconds);
+  QStats.push_back(std::move(QS));
+
+  if (QC && !Hit &&
+      (A.Result == QueryResult::Unsat || A.Result == QueryResult::Sat))
+    QC->putQuery(Fp, {A.Result == QueryResult::Unsat
+                          ? support::CachedQueryResult::Unsat
+                      : A.Approx ? support::CachedQueryResult::SatApprox
+                                 : support::CachedQueryResult::Sat,
+                      A.Detail});
+  return A;
+}
+
+std::optional<Verdict>
+RefinementCheck::runQuery(const std::string &CheckName,
+                          std::vector<Expr> ExtraOuter, Expr ExtraPhi) {
   EFQuery Q;
   Q.Outer = OuterBase;
   for (Expr E : ExtraOuter)
@@ -197,90 +255,52 @@ RefinementCheck::runQuery(const std::string &CheckName,
   for (const auto &N : Tgt.ApproxFnNames)
     Q.AvoidAppPrefixes.push_back(N);
 
-  // Query-level cache: the staged query is fully assembled, so its
-  // canonical fingerprint is available before any solver work. A hit skips
-  // the exists-forall search entirely; sat-side hits replay the rendered
-  // counterexample (plain text — models never cross the cache).
-  support::Fingerprint QueryFp;
-  if (QC) {
-    prof::Span FpSpan("cache_lookup", CheckName);
-    QueryFp = fingerprintQuery(Q);
-    support::CachedQuery Hit;
-    if (QC->findQuery(QueryFp, Hit)) {
-      QS.Result = Hit.Result == support::CachedQueryResult::Unsat
-                      ? QueryResult::Unsat
-                      : QueryResult::Sat;
-      QS.Seconds = QTimer.seconds();
-      QS.CacheHit = true;
-      recordQuery(std::move(QS));
-      switch (Hit.Result) {
-      case support::CachedQueryResult::Unsat:
-        return std::nullopt; // this check passes
-      case support::CachedQueryResult::SatApprox:
-        return verdict(VerdictKind::Unsupported, CheckName, Hit.Detail);
-      case support::CachedQueryResult::Sat:
-        return verdict(VerdictKind::Incorrect, CheckName, Hit.Detail);
-      }
-    }
-  }
-
-  SolverBudget B = Opts.Budget;
-  double Remaining = B.TimeoutSec - Timer.seconds();
-  if (Remaining <= 0) {
-    QS.Result = QueryResult::BudgetExhausted;
-    QS.Seconds = QTimer.seconds();
-    recordQuery(std::move(QS));
+  Answer A = stagedQuery(
+      CheckName, [&] { return fingerprintQuery(Q); },
+      [&] {
+        Answer Out;
+        // Each staged query gets what is left of the pair's budget.
+        SolverBudget B = Opts.Budget;
+        B.TimeoutSec -= Timer.seconds();
+        if (B.TimeoutSec <= 0) {
+          Out.Result = QueryResult::BudgetExhausted;
+          return Out;
+        }
+        EFOutcome R = solveExistsForall(Q, B);
+        Out.Result = toQueryResult(R.Res);
+        Out.Why = R.UnknownReason;
+        Out.Cost = R.Cost;
+        Out.Iterations = R.Iterations;
+        if (R.Res != SatResult::Sat)
+          return Out;
+        // The engine already retried for a model whose support avoids
+        // over-approximated features (Section 3.8); a tainted model means we
+        // cannot conclude a real bug.
+        Out.Approx = R.ApproxInvolved;
+        Out.Detail =
+            R.ApproxInvolved
+                ? "counterexample depends on over-approximated feature: " +
+                      R.ApproxApp
+                : "counterexample:\n" + renderCounterexample(R.M, SrcF);
+        return Out;
+      });
+  switch (A.Result) {
+  case QueryResult::Unsat:
+    return std::nullopt; // this check passes
+  case QueryResult::BudgetExhausted:
     return verdict(VerdictKind::Timeout, CheckName, "query budget exhausted",
                    Reason::BudgetExhausted);
-  }
-  B.TimeoutSec = Remaining;
-
-  EFOutcome R = solveExistsForall(Q, B);
-  if (debugEnabled())
-    fprintf(stderr, "[refine] query returned res=%d\n", (int)R.Res);
-  QS.Result = R.Res == SatResult::Unsat ? QueryResult::Unsat
-              : R.Res == SatResult::Sat ? QueryResult::Sat
-                                        : QueryResult::Unknown;
-  QS.Seconds = QTimer.seconds();
-  QS.SolverSeconds = R.Cost.Seconds;
-  QS.SatChecks = R.Cost.Checks;
-  QS.EFIterations = R.Iterations;
-  QS.Conflicts = R.Cost.Conflicts;
-  QS.Decisions = R.Cost.Decisions;
-  QS.Propagations = R.Cost.Propagations;
-  QS.Clauses = R.Cost.Clauses;
-  recordQuery(std::move(QS));
-  switch (R.Res) {
-  case SatResult::Unsat:
-    if (QC)
-      QC->putQuery(QueryFp, {support::CachedQueryResult::Unsat, ""});
-    return std::nullopt; // this check passes
-  case SatResult::Unknown:
-    // Unknowns are budget artifacts, never cached: a rerun (or a bigger
-    // budget) may decide them. The detail is the reason's spelling, so the
-    // verdict text is unchanged from the stringly-typed days.
-    if (R.UnknownReason == Reason::Memory)
-      return verdict(VerdictKind::OutOfMemory, CheckName,
-                     toString(R.UnknownReason), R.UnknownReason);
-    return verdict(VerdictKind::Timeout, CheckName, toString(R.UnknownReason),
-                   R.UnknownReason);
-  case SatResult::Sat:
+  case QueryResult::Unknown:
+    // The detail is the reason's spelling, so the verdict text is unchanged
+    // from the stringly-typed days.
+    return verdict(A.Why == Reason::Memory ? VerdictKind::OutOfMemory
+                                           : VerdictKind::Timeout,
+                   CheckName, toString(A.Why), A.Why);
+  case QueryResult::Sat:
     break;
   }
-  // Counterexample found. The engine already retried for a model whose
-  // support avoids over-approximated features (Section 3.8); a tainted
-  // model means we cannot conclude a real bug.
-  if (R.ApproxInvolved) {
-    std::string Detail =
-        "counterexample depends on over-approximated feature: " + R.ApproxApp;
-    if (QC)
-      QC->putQuery(QueryFp, {support::CachedQueryResult::SatApprox, Detail});
-    return verdict(VerdictKind::Unsupported, CheckName, std::move(Detail));
-  }
-  std::string Detail = "counterexample:\n" + renderCounterexample(R.M, SrcF);
-  if (QC)
-    QC->putQuery(QueryFp, {support::CachedQueryResult::Sat, Detail});
-  return verdict(VerdictKind::Incorrect, CheckName, std::move(Detail));
+  return verdict(A.Approx ? VerdictKind::Unsupported : VerdictKind::Incorrect,
+                 CheckName, std::move(A.Detail));
 }
 
 Verdict RefinementCheck::run() {
@@ -395,64 +415,25 @@ Verdict RefinementCheck::run() {
   if (SrcI.NondetOrder.size() != Tgt.NondetOrder.size())
     Seeds.push_back(makeSeed(Tgt, "tgt", true));
 
-  // Step 1: the preconditions must not be vacuously false.
-  {
-    prof::Span ProfSpan("staged_query", "precondition");
-    if (debugEnabled())
-      fprintf(stderr, "[refine] step1 precondition check\n");
-    ++Queries;
-    ALIVE_STAT_COUNTER(QueryCount, "refine.queries");
-    QueryCount.inc();
-    Stopwatch QTimer;
-    QueryStats QS;
-    QS.Check = "precondition";
-
-    // The precondition query is a plain conjunction, so its cache key is
-    // the order-independent conjunction fingerprint.
-    support::Fingerprint PreFp;
-    bool Hit = false, HitSat = false;
-    if (QC) {
-      prof::Span FpSpan("cache_lookup", "precondition");
-      PreFp = fingerprintConjunction(OuterBase);
-      support::CachedQuery CQ;
-      if (QC->findQuery(PreFp, CQ)) {
-        Hit = true;
-        HitSat = CQ.Result != support::CachedQueryResult::Unsat;
-      }
-    }
-    if (Hit) {
-      QS.Result = HitSat ? QueryResult::Sat : QueryResult::Unsat;
-      QS.Seconds = QTimer.seconds();
-      QS.CacheHit = true;
-      recordQuery(std::move(QS));
-      if (!HitSat)
-        return verdict(VerdictKind::PreconditionFalse, "precondition",
-                       "the combined preconditions are unsatisfiable");
-    } else {
-      Solver S(Opts.Budget.MaxLiterals);
-      for (Expr E : OuterBase)
-        S.add(E);
-      SolveOutcome R = S.check(Opts.Budget);
-      QS.Result = R.isUnsat() ? QueryResult::Unsat
-                  : R.isSat() ? QueryResult::Sat
-                              : QueryResult::Unknown;
-      QS.Seconds = QTimer.seconds();
-      QS.SolverSeconds = R.Stats.Seconds;
-      QS.SatChecks = R.Stats.Checks;
-      QS.Conflicts = R.Stats.Conflicts;
-      QS.Decisions = R.Stats.Decisions;
-      QS.Propagations = R.Stats.Propagations;
-      QS.Clauses = R.Stats.Clauses;
-      recordQuery(std::move(QS));
-      if (QC && !R.isUnknown())
-        QC->putQuery(PreFp, {R.isUnsat() ? support::CachedQueryResult::Unsat
-                                         : support::CachedQueryResult::Sat,
-                             ""});
-      if (R.isUnsat())
-        return verdict(VerdictKind::PreconditionFalse, "precondition",
-                       "the combined preconditions are unsatisfiable");
-    }
-  }
+  // Step 1: the preconditions must not be vacuously false. A plain check
+  // of the premise under the pair's whole budget, keyed by the
+  // order-independent conjunction fingerprint; here Unsat is the failure.
+  Answer Pre = stagedQuery(
+      "precondition", [&] { return fingerprintConjunction(OuterBase); },
+      [&] {
+        Solver S(Opts.Budget.MaxLiterals);
+        for (Expr E : OuterBase)
+          S.add(E);
+        SolveOutcome R = S.check(Opts.Budget);
+        Answer Out;
+        Out.Result = toQueryResult(R.Res);
+        Out.Why = R.UnknownReason;
+        Out.Cost = R.Stats;
+        return Out;
+      });
+  if (Pre.Result == QueryResult::Unsat)
+    return verdict(VerdictKind::PreconditionFalse, "precondition",
+                   "the combined preconditions are unsatisfiable");
 
   // Step 2: the target triggers UB only when the source does.
   if (auto V = runQuery("target is more undefined than source", {Tgt.UB},
@@ -513,7 +494,7 @@ Verdict RefinementCheck::run() {
 
   // Step 7: memory refinement via an adversarial probe address into a
   // non-local block.
-  if (Opts.CheckMemory && !Opts.EquivalenceMode) {
+  if (!Opts.EquivalenceMode) {
     unsigned PB = Layout->ptrBits();
     Expr Probe = mkVar("out.memprobe", PB);
     Expr Bid = Layout->ptrBid(Probe);
@@ -559,7 +540,7 @@ Verdict RefinementCheck::run() {
 
   // Step 8 (Section 6): every target call must correspond to a source call
   // with the same callee, arguments and memory version.
-  if (Opts.CheckCalls && !Opts.EquivalenceMode) {
+  if (!Opts.EquivalenceMode) {
     for (const CallRecord &TC : Tgt.Calls) {
       Expr SomeMatch = mkFalse();
       for (const CallRecord &SC : SrcI.Calls) {
@@ -592,15 +573,20 @@ Verdict refine::detail::checkPair(const Function &Src, const Function &Tgt,
   RefinementCheck C(Src, Tgt, M, Opts, QC);
   Verdict V = C.run();
   V.Rung = Rung;
+  traceVerdict(Src.name(), V);
+  return V;
+}
+
+void refine::detail::traceVerdict(const std::string &Function,
+                                  const Verdict &V) {
   if (trace::enabled())
     trace::Event("verdict")
-        .str("function", Src.name())
+        .str("function", Function)
         .str("kind", V.kindName())
         .str("failed_check", V.FailedCheck)
         .str("reason", toString(V.Why))
         .num("seconds", V.Seconds)
         .num("queries_run", V.QueriesRun)
         .num("rung", V.Rung)
-        .flag("cached", false);
-  return V;
+        .flag("cached", V.Cached);
 }

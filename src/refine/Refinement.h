@@ -82,15 +82,13 @@ struct Options {
   /// Loop unroll bound (Section 7). At least 2 covers back-edge phi entries
   /// for non-loop optimizations; loop optimizations may need much more.
   unsigned UnrollFactor = 2;
-  /// Per-SMT-query resource budget (the paper's 1-minute / 1 GB defaults,
-  /// scaled).
+  /// Solver budget of one pair (the paper's 1-minute / 1 GB defaults,
+  /// scaled). TimeoutSec bounds the whole pair: step 1 gets all of it and
+  /// each later staged query what is left. MaxLiterals and MaxConflicts
+  /// bound each solver and each check.
   smt::SolverBudget Budget;
   /// Ablation E7: plain equivalence checking without deferred UB.
   bool EquivalenceMode = false;
-  /// Check the final memory state (step 7).
-  bool CheckMemory = true;
-  /// Check that the target introduces no new calls (Section 6).
-  bool CheckCalls = true;
   /// Ablation E8: symbolic quantifier-instantiation seeds (the Section 3.7
   /// undef-instantiation optimization analog). Off = plain CEGIS.
   bool UseInstantiationSeeds = true;
@@ -222,6 +220,10 @@ namespace detail {
 Verdict checkPair(const ir::Function &Src, const ir::Function &Tgt,
                   const ir::Module *M, const Options &Opts,
                   support::QueryCache *QC = nullptr, unsigned Rung = 0);
+
+/// Emits the "verdict" trace event of one pair attempt for \p Function,
+/// whichever path decided it (a check, the pair cache, a deadline skip).
+void traceVerdict(const std::string &Function, const Verdict &V);
 } // namespace detail
 
 } // namespace alive::refine

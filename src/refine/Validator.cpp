@@ -189,15 +189,7 @@ Verdict Validator::attemptPair(const ir::Function &Src,
     V.FailedCheck = "deadline";
     V.Detail = "batch deadline exceeded before dispatch";
     V.Rung = Rung;
-    if (trace::enabled())
-      trace::Event("verdict")
-          .str("function", Src.name())
-          .str("kind", V.kindName())
-          .str("failed_check", V.FailedCheck)
-          .str("reason", toString(V.Why))
-          .num("rung", V.Rung)
-          .num("seconds", V.Seconds)
-          .num("queries_run", V.QueriesRun);
+    detail::traceVerdict(Src.name(), V);
     return V;
   }
   if (Cancel.isCancelled()) {
@@ -251,16 +243,7 @@ Verdict Validator::attemptPair(const ir::Function &Src,
       V.Seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - Start)
                       .count();
-      if (trace::enabled())
-        trace::Event("verdict")
-            .str("function", Src.name())
-            .str("kind", V.kindName())
-            .str("failed_check", V.FailedCheck)
-            .str("reason", toString(V.Why))
-            .num("rung", V.Rung)
-            .num("seconds", V.Seconds)
-            .num("queries_run", V.QueriesRun)
-            .flag("cached", true);
+      detail::traceVerdict(Src.name(), V);
       return V;
     }
   }

@@ -142,8 +142,6 @@ public:
   void bumpVersion(smt::Expr Cond);
 
   const MemoryLayout &layout() const { return L; }
-  const std::string &sideTag() const { return SideTag; }
-  size_t chainLength() const { return Chain.size(); }
 
 private:
   struct Elem {

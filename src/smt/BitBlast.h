@@ -52,7 +52,6 @@ public:
   uint64_t numCacheHits() const { return CacheHits; }
   uint64_t numFreshVars() const { return FreshVars; }
   uint64_t numClausesEmitted() const { return ClausesEmitted; }
-  size_t numEmittedLiterals() const { return EmittedLiterals; }
 
 private:
   SatSolver &S;

@@ -11,91 +11,10 @@
 #include "support/Stats.h"
 #include "support/Trace.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cassert>
-
 using namespace alive;
 using namespace alive::smt;
 
-/// ALIVE_EF_DEBUG=1 streams the engine's search progress to stderr (the
-/// LLVM_DEBUG analog for this project). Cached once per process.
-static bool debugEnabled() {
-  static const bool On = std::getenv("ALIVE_EF_DEBUG") != nullptr;
-  return On;
-}
-
 namespace {
-
-/// Replaces every App in the query with a fresh variable, adding congruence
-/// axioms. An app whose (rewritten) arguments mention an inner variable is
-/// itself inner (its value may depend on the inner choice), so its axioms go
-/// into Phi; axioms relating only outer apps go into the outer constraints.
-void ackermannizeQuery(std::vector<Expr> &Outer, Expr &Phi,
-                       std::unordered_set<ExprId> &InnerVars,
-                       const std::vector<std::string> &InnerAppPrefixes) {
-  std::unordered_set<ExprId> Apps;
-  for (Expr E : Outer)
-    collectApps(E, Apps);
-  collectApps(Phi, Apps);
-  if (Apps.empty())
-    return;
-
-  std::vector<ExprId> Order(Apps.begin(), Apps.end());
-  std::sort(Order.begin(), Order.end());
-
-  struct AckEntry {
-    Expr ResultVar;
-    std::vector<Expr> Args;
-    bool IsInner;
-  };
-  std::unordered_map<std::string, std::vector<AckEntry>> ByFn;
-  std::unordered_map<ExprId, Expr> VarMap;
-  std::vector<Expr> InnerAxioms;
-
-  for (ExprId AppId : Order) {
-    const Node &N = ExprCtx::get().node(AppId);
-    std::string FnName = N.Name;
-    unsigned Width = N.Width;
-    std::vector<ExprId> OpIds = N.Ops; // copy: interning may reallocate
-    std::vector<Expr> Args;
-    bool IsInner = false;
-    for (const std::string &P : InnerAppPrefixes)
-      IsInner |= FnName.rfind(P, 0) == 0;
-    for (ExprId Op : OpIds) {
-      Expr Arg = rewriteApps(Expr(Op), VarMap);
-      IsInner |= mentionsAnyVar(Arg, InnerVars);
-      Args.push_back(Arg);
-    }
-    Expr ResVar = mkFreshVar("!ack." + FnName, Width);
-    if (IsInner)
-      InnerVars.insert(ResVar.id());
-    for (const AckEntry &Prev : ByFn[FnName]) {
-      if (Prev.Args.size() != Args.size() ||
-          Prev.ResultVar.width() != ResVar.width())
-        continue;
-      Expr ArgsEq = mkTrue();
-      for (size_t I = 0; I < Args.size(); ++I)
-        ArgsEq = mkAnd(ArgsEq, mkEq(Prev.Args[I], Args[I]));
-      Expr Axiom = mkImplies(ArgsEq, mkEq(Prev.ResultVar, ResVar));
-      if (Axiom.isTrue())
-        continue;
-      if (IsInner || Prev.IsInner)
-        InnerAxioms.push_back(Axiom);
-      else
-        Outer.push_back(Axiom);
-    }
-    ByFn[FnName].push_back({ResVar, Args, IsInner});
-    VarMap[AppId] = ResVar;
-  }
-
-  for (Expr &E : Outer)
-    E = rewriteApps(E, VarMap);
-  Phi = rewriteApps(Phi, VarMap);
-  for (Expr Ax : InnerAxioms)
-    Phi = mkAnd(Phi, Ax);
-}
 
 /// Derives definitional instantiations for inner variables from equations
 /// in Phi: a conjunct-or-disjunct subterm (= u t) with u inner and t
@@ -250,21 +169,10 @@ void deriveEquationDefs(Expr Phi, const std::unordered_set<ExprId> &InnerVars,
   // Collect all Eq nodes once. Store ids, not Node pointers: matchDefs
   // interns new expressions, which may reallocate the node arena.
   std::vector<ExprId> Eqs;
-  {
-    std::unordered_set<ExprId> Seen;
-    std::vector<ExprId> Stack{Phi.id()};
-    while (!Stack.empty()) {
-      ExprId Id = Stack.back();
-      Stack.pop_back();
-      if (!Seen.insert(Id).second)
-        continue;
-      const Node &N = ExprCtx::get().node(Id);
-      if (N.K == Kind::Eq)
-        Eqs.push_back(Id);
-      for (ExprId Op : N.Ops)
-        Stack.push_back(Op);
-    }
-  }
+  walk(Phi, [&Eqs](ExprId Id, const Node &N) {
+    if (N.K == Kind::Eq)
+      Eqs.push_back(Id);
+  });
   std::unordered_map<ExprId, PartialDef> Defs;
   for (int Round = 0; Round < 4; ++Round) {
     size_t Before = Defs.size();
@@ -300,12 +208,6 @@ bool modelInvolvesApp(const EFQuery &Query, const Model &M,
                       std::string &Which) {
   if (Query.AvoidAppPrefixes.empty())
     return false;
-  if (debugEnabled()) {
-    fprintf(stderr, "[ef] avoid prefixes (%zu):", Query.AvoidAppPrefixes.size());
-    for (const auto &P : Query.AvoidAppPrefixes)
-      fprintf(stderr, " %s", P.c_str());
-    fprintf(stderr, "\n");
-  }
   std::unordered_map<ExprId, Expr> Subst;
   for (const auto &[Id, V] : M.entries()) {
     const Node &N = ExprCtx::get().node(Id);
@@ -353,11 +255,8 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
       stats::addSample("time.ef_query", Timer.seconds());
       if (!trace::enabled())
         return;
-      const char *Result = Out.Res == SatResult::Sat     ? "sat"
-                           : Out.Res == SatResult::Unsat ? "unsat"
-                                                         : "unknown";
       trace::Event("ef_query")
-          .str("result", Result)
+          .str("result", toString(Out.Res))
           .num("iterations", Out.Iterations)
           .num("seconds", Timer.seconds())
           .num("solver_seconds", Out.Cost.Seconds)
@@ -405,36 +304,44 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
     }
   }
   for (const EFQuery::Seed &S : AllSeeds) {
-    Expr Inst = substitute(Phi, S.VarMap);
-    Inst = renameApps(Inst, S.AppRenames);
-    if (mentionsAnyVar(Inst, InnerVars)) {
-      ALIVE_STAT_COUNTER(SeedsSkipped, "ef.seeds_skipped");
-      SeedsSkipped.inc();
-      if (debugEnabled())
-        fprintf(stderr, "[ef] seed skipped (inner vars remain)\n");
-      continue; // partial instantiation would be unsound; skip
+    Expr Inst = renameApps(substitute(Phi, S.VarMap), S.AppRenames);
+    // Partial instantiation would be unsound: skip a seed that leaves an
+    // inner variable or an inner application behind.
+    bool InnerLeft = mentionsAnyVar(Inst, InnerVars);
+    if (!InnerLeft) {
+      std::unordered_set<ExprId> Apps;
+      collectApps(Inst, Apps);
+      for (ExprId A : Apps)
+        for (const std::string &P : Query.InnerAppPrefixes)
+          InnerLeft |= ExprCtx::get().node(A).Name.rfind(P, 0) == 0;
     }
-    bool InnerAppLeft = false;
-    std::unordered_set<ExprId> Apps;
-    collectApps(Inst, Apps);
-    for (ExprId A : Apps)
-      for (const std::string &P : Query.InnerAppPrefixes)
-        InnerAppLeft |=
-            ExprCtx::get().node(A).Name.rfind(P, 0) == 0;
-    if (InnerAppLeft) {
+    if (InnerLeft) {
       ALIVE_STAT_COUNTER(SeedsSkipped, "ef.seeds_skipped");
       SeedsSkipped.inc();
       continue;
     }
     ALIVE_STAT_COUNTER(SeedsAccepted, "ef.seeds_accepted");
     SeedsAccepted.inc();
-    if (debugEnabled())
-      fprintf(stderr, "[ef] seed accepted, inst=%s\n",
-              toString(Inst).substr(0, 160).c_str());
     Outer.push_back(mkNot(Inst));
   }
 
-  ackermannizeQuery(Outer, Phi, InnerVars, Query.InnerAppPrefixes);
+  // Ackermannize the whole query in one id-sorted pass. An axiom between
+  // outer applications constrains the outer side; one involving an inner
+  // application may depend on the inner choice, so it joins Phi.
+  std::vector<Expr> Roots = Outer;
+  Roots.push_back(Phi);
+  std::vector<Expr> OuterAxioms, InnerAxioms;
+  Ackermannizer Ack(&InnerVars, &Query.InnerAppPrefixes);
+  if (Ack.addApps(Roots, [&](Expr Axiom, bool Inner) {
+        (Inner ? InnerAxioms : OuterAxioms).push_back(Axiom);
+      })) {
+    for (Expr &E : Outer)
+      E = Ack.rewrite(E);
+    Phi = Ack.rewrite(Phi);
+    Outer.insert(Outer.end(), OuterAxioms.begin(), OuterAxioms.end());
+    for (Expr Axiom : InnerAxioms)
+      Phi = mkAnd(Phi, Axiom);
+  }
 
   // Outer variables: everything free in the query that is not inner-bound.
   std::unordered_set<ExprId> AllVars;
@@ -483,13 +390,8 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
       SolverBudget SubBudget = Budget;
       SubBudget.TimeoutSec = Remaining;
 
-      if (debugEnabled())
-        fprintf(stderr, "[ef] iter=%u outer check...\n", Out.Iterations);
       SolveOutcome OuterRes = OuterSolver.check(SubBudget);
       Out.Cost.add(OuterRes.Stats);
-      if (debugEnabled())
-        fprintf(stderr, "[ef] iter=%u outer done res=%d\n", Out.Iterations,
-                (int)OuterRes.Res);
       if (OuterRes.isUnsat())
         return Phase::Unsat;
       if (OuterRes.isUnknown()) {
@@ -505,12 +407,7 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
         BitVec Val = OuterRes.M.get(Var);
         OuterSubst[V] = Var.isBool() ? mkBool(!Val.isZero()) : mkBV(Val);
       }
-      if (debugEnabled())
-        fprintf(stderr, "[ef] subst phi...\n");
       Expr PhiInst = substitute(Phi, OuterSubst);
-      if (debugEnabled())
-        fprintf(stderr, "[ef] subst done const=%d\n",
-                (int)(PhiInst.isTrue() || PhiInst.isFalse()));
 
       Model Witness;
       bool NoInnerWitness = PhiInst.isFalse();
@@ -522,9 +419,6 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
           return Phase::Unknown;
         }
         SubBudget.TimeoutSec = Remaining;
-        if (debugEnabled())
-          fprintf(stderr, "[ef] iter=%u inner check dag=%zu...\n",
-                  Out.Iterations, dagSize(PhiInst));
         SolveOutcome InnerRes = checkSat(PhiInst, SubBudget);
         Out.Cost.add(InnerRes.Stats);
         if (InnerRes.isUnknown()) {
@@ -533,18 +427,14 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
           return Phase::Unknown;
         }
         NoInnerWitness = InnerRes.isUnsat();
-        if (!NoInnerWitness) {
+        if (!NoInnerWitness)
           Witness = InnerRes.M;
-          Out.InnerM = InnerRes.M;
-        }
       }
 
       if (NoInnerWitness) {
         // Genuine outer witness. If its support includes an
         // over-approximated feature, remember it and keep searching for a
         // clean model for a bounded number of attempts (Section 3.8).
-        if (debugEnabled())
-          fprintf(stderr, "[ef] genuine witness; approx check...\n");
         std::string App;
         if (!modelInvolvesApp(Query, OuterRes.M, App)) {
           Out.Res = SatResult::Sat;
@@ -552,8 +442,6 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
           Out.ApproxInvolved = false;
           return Phase::FoundClean;
         }
-        if (debugEnabled())
-          fprintf(stderr, "[ef] approx involved: %s\n", App.c_str());
         if (!Out.ApproxInvolved) {
           Out.ApproxInvolved = true;
           Out.ApproxApp = App;
@@ -586,11 +474,7 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
         BitVec Val = Witness.get(Var);
         InnerSubst[V] = Var.isBool() ? mkBool(!Val.isZero()) : mkBV(Val);
       }
-      if (debugEnabled())
-        fprintf(stderr, "[ef] building blocking...\n");
       InstBlockings.push_back(mkNot(substitute(Phi, InnerSubst)));
-      if (debugEnabled())
-        fprintf(stderr, "[ef] blocking built\n");
     }
     return Phase::Exhausted;
   };

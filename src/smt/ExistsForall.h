@@ -68,8 +68,6 @@ struct EFOutcome {
   SatResult Res = SatResult::Unknown;
   /// Outer model when Res == Sat (i.e. a counterexample).
   Model M;
-  /// Inner model paired with the final outer model (diagnostics).
-  Model InnerM;
   Reason UnknownReason = Reason::None;
   unsigned Iterations = 0;
   /// Aggregate SAT effort over every outer and inner check of the search

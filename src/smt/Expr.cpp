@@ -390,24 +390,6 @@ Expr smt::mkSMulOverflow(Expr A, Expr B) {
 // Traversal
 //===----------------------------------------------------------------------===//
 
-namespace {
-/// Iterative post-order DAG walk calling \p Visit once per reachable node.
-template <typename Fn> void walk(Expr Root, Fn Visit) {
-  std::unordered_set<ExprId> Seen;
-  std::vector<ExprId> Stack{Root.id()};
-  while (!Stack.empty()) {
-    ExprId Id = Stack.back();
-    Stack.pop_back();
-    if (!Seen.insert(Id).second)
-      continue;
-    const Node &N = ExprCtx::get().node(Id);
-    Visit(Id, N);
-    for (ExprId Op : N.Ops)
-      Stack.push_back(Op);
-  }
-}
-} // namespace
-
 void smt::collectVars(Expr E, std::unordered_set<ExprId> &Out) {
   walk(E, [&Out](ExprId Id, const Node &N) {
     if (N.K == Kind::Var)
@@ -437,75 +419,36 @@ size_t smt::dagSize(Expr E) {
   return N;
 }
 
-Expr smt::substitute(Expr E, const std::unordered_map<ExprId, Expr> &Map) {
+namespace {
+/// Iterative post-order DAG rewrite behind substitute, rewriteApps and
+/// renameApps. \p Leaf(Id, Node) returns the replacement of a node it
+/// claims, whose operands are then not visited, or NoExpr. Every other node
+/// is copied, gets its operands' rewrites and \p Edit(Copy), and is folded
+/// again when an operand changed or Edit returns true. Nodes fold last
+/// operand first; interning order, and with it every ExprId, depends on it.
+template <typename LeafFn, typename EditFn>
+Expr rewrite(Expr Root, LeafFn Leaf, EditFn Edit) {
   std::unordered_map<ExprId, ExprId> Cache;
-  // Recursive lambda with explicit stack avoidance is overkill here; DAGs in
-  // this project are shallow enough for recursion, but we do it iteratively
-  // to be safe with deep ite chains from memory encodings.
-  std::vector<ExprId> Order;
-  std::unordered_set<ExprId> Seen;
-  std::vector<std::pair<ExprId, bool>> Stack{{E.id(), false}};
+  std::vector<std::pair<ExprId, bool>> Stack{{Root.id(), false}};
   while (!Stack.empty()) {
     auto [Id, Expanded] = Stack.back();
     Stack.pop_back();
-    if (Expanded) {
-      Order.push_back(Id);
-      continue;
-    }
-    if (!Seen.insert(Id).second)
-      continue;
-    Stack.push_back({Id, true});
-    for (ExprId Op : ExprCtx::get().node(Id).Ops)
-      Stack.push_back({Op, false});
-  }
-  for (ExprId Id : Order) {
-    const Node &N = ExprCtx::get().node(Id);
-    if (N.K == Kind::Var) {
-      auto It = Map.find(Id);
-      Cache[Id] = It != Map.end() ? It->second.id() : Id;
-      continue;
-    }
-    Node Copy = N;
-    bool Changed = false;
-    for (ExprId &Op : Copy.Ops) {
-      ExprId NewOp = Cache.at(Op);
-      Changed |= NewOp != Op;
-      Op = NewOp;
-    }
-    if (!Changed) {
-      Cache[Id] = Id;
-      continue;
-    }
-    // Leaf kinds were handled above; rebuild through the folding path so
-    // constant arguments evaluate.
-    Cache[Id] = detail::fold(std::move(Copy)).id();
-  }
-  return Expr(Cache.at(E.id()));
-}
-
-Expr smt::rewriteApps(Expr E, const std::unordered_map<ExprId, Expr> &Map) {
-  std::unordered_map<ExprId, ExprId> Cache;
-  std::vector<std::pair<ExprId, bool>> Stack{{E.id(), false}};
-  while (!Stack.empty()) {
-    auto [Id, Expanded] = Stack.back();
-    Stack.pop_back();
-    if (Cache.count(Id))
-      continue;
-    auto It = Map.find(Id);
-    if (It != Map.end()) {
-      Cache[Id] = It->second.id();
-      continue;
-    }
     const Node &N = ExprCtx::get().node(Id);
     if (!Expanded) {
+      if (Cache.count(Id))
+        continue;
+      if (ExprId To = Leaf(Id, N); To != NoExpr) {
+        Cache[Id] = To;
+        continue;
+      }
       Stack.push_back({Id, true});
       for (ExprId Op : N.Ops)
         if (!Cache.count(Op))
           Stack.push_back({Op, false});
       continue;
     }
-    Node Copy = N;
-    bool Changed = false;
+    Node Copy = N; // copy: folding interns, which may reallocate N
+    bool Changed = Edit(Copy);
     for (ExprId &Op : Copy.Ops) {
       ExprId NewOp = Cache.at(Op);
       Changed |= NewOp != Op;
@@ -513,46 +456,49 @@ Expr smt::rewriteApps(Expr E, const std::unordered_map<ExprId, Expr> &Map) {
     }
     Cache[Id] = Changed ? detail::fold(std::move(Copy)).id() : Id;
   }
-  return Expr(Cache.at(E.id()));
+  return Expr(Cache.at(Root.id()));
+}
+
+constexpr auto KeepNode = [](Node &) { return false; };
+} // namespace
+
+Expr smt::substitute(Expr E, const std::unordered_map<ExprId, Expr> &Map) {
+  return rewrite(
+      E,
+      [&Map](ExprId Id, const Node &N) {
+        if (N.K != Kind::Var)
+          return NoExpr;
+        auto It = Map.find(Id);
+        return It != Map.end() ? It->second.id() : Id;
+      },
+      KeepNode);
+}
+
+Expr smt::rewriteApps(Expr E, const std::unordered_map<ExprId, Expr> &Map) {
+  return rewrite(
+      E,
+      [&Map](ExprId Id, const Node &) {
+        auto It = Map.find(Id);
+        return It != Map.end() ? It->second.id() : NoExpr;
+      },
+      KeepNode);
 }
 
 Expr smt::renameApps(
     Expr E,
     const std::vector<std::pair<std::string, std::string>> &PrefixMap) {
-  std::unordered_map<ExprId, ExprId> Cache;
-  std::vector<std::pair<ExprId, bool>> Stack{{E.id(), false}};
-  while (!Stack.empty()) {
-    auto [Id, Expanded] = Stack.back();
-    Stack.pop_back();
-    if (Cache.count(Id))
-      continue;
-    const Node &N = ExprCtx::get().node(Id);
-    if (!Expanded) {
-      Stack.push_back({Id, true});
-      for (ExprId Op : N.Ops)
-        if (!Cache.count(Op))
-          Stack.push_back({Op, false});
-      continue;
-    }
-    Node Copy = N;
-    bool Changed = false;
-    if (N.K == Kind::App) {
-      for (const auto &[Prefix, Repl] : PrefixMap) {
-        if (Copy.Name.rfind(Prefix, 0) == 0) {
-          Copy.Name = Repl + Copy.Name.substr(Prefix.size());
-          Changed = true;
-          break;
-        }
-      }
-    }
-    for (ExprId &Op : Copy.Ops) {
-      ExprId NewOp = Cache.at(Op);
-      Changed |= NewOp != Op;
-      Op = NewOp;
-    }
-    Cache[Id] = Changed ? detail::fold(std::move(Copy)).id() : Id;
-  }
-  return Expr(Cache.at(E.id()));
+  return rewrite(
+      E, [](ExprId, const Node &) { return NoExpr; },
+      [&PrefixMap](Node &N) {
+        if (N.K != Kind::App)
+          return false;
+        for (const auto &[Prefix, Repl] : PrefixMap)
+          if (N.Name.rfind(Prefix, 0) == 0) {
+            N.Name = Repl + N.Name.substr(Prefix.size());
+            return true;
+          }
+        return false;
+      });
 }
 
 //===----------------------------------------------------------------------===//

@@ -239,6 +239,24 @@ void collectApps(Expr E, std::unordered_set<ExprId> &Out);
 /// True if any variable of \p E is in \p Vars.
 bool mentionsAnyVar(Expr E, const std::unordered_set<ExprId> &Vars);
 
+/// Iterative depth-first DAG walk calling \p Visit(Id, Node) once per node
+/// reachable from \p Root, on first reaching it, last operand first.
+/// \p Visit must not intern: that may reallocate the node it is given.
+template <typename Fn> void walk(Expr Root, Fn Visit) {
+  std::unordered_set<ExprId> Seen;
+  std::vector<ExprId> Stack{Root.id()};
+  while (!Stack.empty()) {
+    ExprId Id = Stack.back();
+    Stack.pop_back();
+    if (!Seen.insert(Id).second)
+      continue;
+    const Node &N = ExprCtx::get().node(Id);
+    Visit(Id, N);
+    for (ExprId Op : N.Ops)
+      Stack.push_back(Op);
+  }
+}
+
 /// Rebuilds \p E replacing variables per \p Map (var ExprId -> replacement);
 /// re-runs construction-time folding, so substituting constants evaluates.
 Expr substitute(Expr E, const std::unordered_map<ExprId, Expr> &Map);

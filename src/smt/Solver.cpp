@@ -24,77 +24,73 @@ Solver::Solver(size_t MaxLiterals)
 
 Solver::~Solver() = default;
 
-Expr Solver::ackermannize(Expr E) {
-  std::unordered_set<ExprId> Apps;
-  collectApps(E, Apps);
-  if (Apps.empty())
-    return E;
-
-  // Rewrite bottom-up: process apps in increasing id order; since operands
-  // are created before their users, an app's arguments only reference
-  // lower-numbered apps.
-  std::vector<ExprId> Order(Apps.begin(), Apps.end());
+bool Ackermannizer::addApps(std::span<const Expr> Roots,
+                            const std::function<void(Expr, bool)> &OnAxiom) {
+  std::unordered_set<ExprId> Reached;
+  for (Expr E : Roots)
+    collectApps(E, Reached);
+  if (Reached.empty())
+    return false;
+  std::vector<ExprId> Order(Reached.begin(), Reached.end());
   std::sort(Order.begin(), Order.end());
 
-  std::unordered_map<ExprId, Expr> VarMap; // app id -> replacement var
   for (ExprId AppId : Order) {
-    if (AckCache.count(AppId)) {
-      VarMap[AppId] = AckCache[AppId];
+    if (Vars.count(AppId))
       continue;
-    }
     const Node &N = ExprCtx::get().node(AppId);
     std::string FnName = N.Name;
     unsigned Width = N.Width;
     std::vector<ExprId> OpIds = N.Ops; // copy: interning may reallocate
-    // Rewrite the arguments first (they may contain earlier apps). We route
-    // through substitution on a reconstructed expression of each argument.
+    bool Inner = false;
+    if (InnerPrefixes)
+      for (const std::string &P : *InnerPrefixes)
+        Inner |= FnName.rfind(P, 0) == 0;
     std::vector<Expr> Args;
     for (ExprId Op : OpIds) {
-      Expr Arg(Op);
-      // Replace nested apps inside the argument.
-      std::unordered_set<ExprId> Nested;
-      collectApps(Arg, Nested);
-      if (!Nested.empty())
-        Arg = rewriteApps(Arg, VarMap);
+      Expr Arg = rewrite(Expr(Op));
+      if (InnerVars)
+        Inner |= mentionsAnyVar(Arg, *InnerVars);
       Args.push_back(Arg);
     }
-    Expr ResVar = mkFreshVar("!ack." + FnName, Width);
-    AckApp Entry{AppId, ResVar, Args};
-    // Congruence against previously seen apps of the same function.
-    for (const AckApp &Prev : AckApps[FnName]) {
+    Expr Var = mkFreshVar("!ack." + FnName, Width);
+    if (Inner)
+      InnerVars->insert(Var.id());
+    std::vector<App> &Earlier = ByFn[FnName];
+    for (const App &Prev : Earlier) {
       if (Prev.Args.size() != Args.size() ||
-          Prev.ResultVar.width() != ResVar.width())
+          Prev.Var.width() != Var.width())
         continue;
       Expr ArgsEq = mkTrue();
       for (size_t I = 0; I < Args.size(); ++I)
         ArgsEq = mkAnd(ArgsEq, mkEq(Prev.Args[I], Args[I]));
-      Expr Axiom = mkImplies(ArgsEq, mkEq(Prev.ResultVar, ResVar));
-      if (!Axiom.isTrue()) {
-        ALIVE_STAT_COUNTER(AckAxioms, "solver.ack_axioms");
-        AckAxioms.inc();
-        Blaster->assertTrue(Axiom);
-      }
+      Expr Axiom = mkImplies(ArgsEq, mkEq(Prev.Var, Var));
+      if (!Axiom.isTrue())
+        OnAxiom(Axiom, Inner || Prev.Inner);
     }
-    AckApps[FnName].push_back(std::move(Entry));
-    AckCache[AppId] = ResVar;
-    VarMap[AppId] = ResVar;
+    Earlier.push_back({Var, std::move(Args), Inner});
+    Vars[AppId] = Var;
   }
-  return rewriteApps(E, VarMap);
+  return true;
 }
 
 void Solver::add(Expr E) {
   if (TriviallyUnsat)
     return;
   assert(E.isBool() && "assertions must be Bool");
-  Expr Rewritten = ackermannize(E);
-  if (Rewritten.isTrue())
+  if (Ack.addApps({&E, 1}, [this](Expr Axiom, bool) {
+        ALIVE_STAT_COUNTER(AckAxioms, "solver.ack_axioms");
+        AckAxioms.inc();
+        Blaster->assertTrue(Axiom);
+      }))
+    E = Ack.rewrite(E);
+  if (E.isTrue())
     return;
-  if (Rewritten.isFalse()) {
+  if (E.isFalse()) {
     TriviallyUnsat = true;
     return;
   }
-  collectVars(Rewritten, SeenVars);
-  Blaster->assertTrue(Rewritten);
+  collectVars(E, SeenVars);
+  Blaster->assertTrue(E);
 }
 
 /// Flushes bit-blaster telemetry accumulated since the last check into the

@@ -20,7 +20,9 @@
 #include "smt/Expr.h"
 #include "smt/Sat.h"
 
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,7 +34,11 @@ enum class SatResult { Sat, Unsat, Unknown };
 /// the literals live in exactly one place).
 const char *toString(SatResult R);
 
-/// Resource budget for one satisfiability check.
+/// Resource budget of a solver call. TimeoutSec bounds the call it is
+/// passed to: one check, or one whole exists-forall search. The refinement
+/// layer spends one budget per pair (refine::Options::Budget), handing each
+/// staged query what is left of it. MaxLiterals and MaxConflicts bound each
+/// solver and each check instead.
 struct SolverBudget {
   double TimeoutSec = 60.0;
   /// Approximate memory budget in CNF literals (~16 bytes each). It caps
@@ -93,6 +99,43 @@ struct SolveOutcome {
   bool isUnknown() const { return Res == SatResult::Unknown; }
 };
 
+/// Ackermann's reduction, the one place congruence axioms are built: each
+/// uninterpreted application becomes a fresh variable, and two applications
+/// of one function get the axiom "equal arguments imply equal results".
+/// For an exists-forall query, an application is inner when its name starts
+/// with one of \p InnerPrefixes or a rewritten argument mentions one of
+/// \p InnerVars; its variable then joins \p InnerVars. An axiom is inner
+/// when either of its applications is. Without them, all are outer.
+class Ackermannizer {
+public:
+  explicit Ackermannizer(
+      std::unordered_set<ExprId> *InnerVars = nullptr,
+      const std::vector<std::string> *InnerPrefixes = nullptr)
+      : InnerVars(InnerVars), InnerPrefixes(InnerPrefixes) {}
+
+  /// Gives each application reachable from \p Roots that has no variable
+  /// yet a fresh one, in increasing id order (arguments hold only lower
+  /// ids), and hands each axiom against an earlier application that does
+  /// not fold to true to \p OnAxiom(Axiom, IsInner) as it is built.
+  /// \returns false when \p Roots reach no application.
+  bool addApps(std::span<const Expr> Roots,
+               const std::function<void(Expr, bool)> &OnAxiom);
+
+  /// \p E with every application replaced by its variable.
+  Expr rewrite(Expr E) const { return rewriteApps(E, Vars); }
+
+private:
+  struct App {
+    Expr Var;
+    std::vector<Expr> Args;
+    bool Inner;
+  };
+  std::unordered_set<ExprId> *InnerVars;
+  const std::vector<std::string> *InnerPrefixes;
+  std::unordered_map<std::string, std::vector<App>> ByFn;
+  std::unordered_map<ExprId, Expr> Vars;
+};
+
 /// Incremental quantifier-free solver over the Expr language.
 class Solver {
 public:
@@ -127,20 +170,10 @@ private:
 
   void flushBlastStats();
 
-  /// Apps already Ackermannized, grouped by function name.
-  struct AckApp {
-    ExprId Original;
-    Expr ResultVar;
-    std::vector<Expr> Args;
-  };
-  std::unordered_map<std::string, std::vector<AckApp>> AckApps;
-  std::unordered_map<ExprId, Expr> AckCache;
+  /// Applications of every assertion so far.
+  Ackermannizer Ack;
   /// All variables ever asserted (for model extraction).
   std::unordered_set<ExprId> SeenVars;
-
-  /// Replaces App nodes with fresh variables, emitting congruence
-  /// constraints against previously seen apps of the same function.
-  Expr ackermannize(Expr E);
 };
 
 /// One-shot convenience: check a single formula.

@@ -108,12 +108,6 @@ TEST(Cache, OptionChangesInvalidate) {
   O.EquivalenceMode = true;
   EXPECT_NE(fingerprintPair(*SF, *TF, SrcM.get(), O), Fp);
   O = Base;
-  O.CheckMemory = false;
-  EXPECT_NE(fingerprintPair(*SF, *TF, SrcM.get(), O), Fp);
-  O = Base;
-  O.CheckCalls = false;
-  EXPECT_NE(fingerprintPair(*SF, *TF, SrcM.get(), O), Fp);
-  O = Base;
   O.UseInstantiationSeeds = false;
   EXPECT_NE(fingerprintPair(*SF, *TF, SrcM.get(), O), Fp);
   O = Base;

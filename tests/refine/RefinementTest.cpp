@@ -481,6 +481,162 @@ entry:
   EXPECT_TRUE(SawVerdict);
 }
 
+TEST(Refine, StagedQueryEffortIsPinned) {
+  // The exact effort of every staged query of two pairs. The memory pair
+  // sends mem0/localinit applications through both Ackermannizations (the
+  // step-1 solver's and the exists-forall engine's) and its seeds rename
+  // applications; the undef pair takes 16 CEGIS rounds. The query path
+  // must not change the search; a change that means to updates these
+  // numbers on purpose.
+  struct Record {
+    const char *Check;
+    QueryResult Result;
+    unsigned SatChecks, EFIterations;
+    uint64_t Conflicts, Decisions, Propagations;
+    size_t Clauses;
+  };
+  auto expectEffort = [](const char *Src, const char *Tgt,
+                         const std::vector<Record> &Want) {
+    Options O;
+    O.Cache = CachePolicy::disabled();
+    Verdict V = check(Src, Tgt, O); // check() calls resetContext()
+    EXPECT_CORRECT(V);
+    ASSERT_EQ(V.Queries.size(), Want.size());
+    for (size_t I = 0; I < Want.size(); ++I) {
+      const QueryStats &Q = V.Queries[I];
+      const Record &W = Want[I];
+      SCOPED_TRACE(W.Check);
+      EXPECT_EQ(Q.Check, W.Check);
+      EXPECT_EQ(Q.Result, W.Result);
+      EXPECT_EQ(Q.SatChecks, W.SatChecks);
+      EXPECT_EQ(Q.EFIterations, W.EFIterations);
+      EXPECT_EQ(Q.Conflicts, W.Conflicts);
+      EXPECT_EQ(Q.Decisions, W.Decisions);
+      EXPECT_EQ(Q.Propagations, W.Propagations);
+      EXPECT_EQ(Q.Clauses, W.Clauses);
+    }
+  };
+  const QueryResult Sat = QueryResult::Sat, Unsat = QueryResult::Unsat;
+
+  const char *MemSrc = R"(
+define i8 @f(ptr %p, ptr %q, i8 %x) {
+entry:
+  %s = alloca i8
+  store i8 %x, ptr %s
+  br label %loop
+loop:
+  %i = phi i8 [ 0, %entry ], [ %i1, %loop ]
+  %v = load i8, ptr %p
+  %w = load i8, ptr %q
+  %i1 = add i8 %i, 1
+  %t = xor i8 %v, %w
+  %c = icmp ult i8 %i1, %t
+  br i1 %c, label %loop, label %exit
+exit:
+  %l = load i8, ptr %s
+  ret i8 %l
+}
+)";
+  const char *MemTgt = R"(
+define i8 @f(ptr %p, ptr %q, i8 %x) {
+entry:
+  %s = alloca i8
+  store i8 %x, ptr %s
+  br label %loop
+loop:
+  %i = phi i8 [ 0, %entry ], [ %i1, %loop ]
+  %v = load i8, ptr %p
+  %w = load i8, ptr %q
+  %i1 = add i8 %i, 1
+  %t = xor i8 %v, %w
+  %c = icmp ult i8 %i1, %t
+  br i1 %c, label %loop, label %exit
+exit:
+  ret i8 %x
+}
+)";
+  expectEffort(
+      MemSrc, MemTgt,
+      {{"precondition", Sat, 1, 0, 2, 705, 2094, 4412},
+       {"target is more undefined than source", Unsat, 1, 1, 0, 0, 0, 23041},
+       {"target returns when source cannot", Unsat, 1, 1, 0, 0, 0, 12680},
+       {"target is more poisonous than source (lane 0)", Unsat, 1, 1, 0, 0,
+        0, 12684},
+       {"target's return value is more specific (lane 0)", Unsat, 1, 1, 30,
+        2480, 8168, 29798},
+       {"target's memory is more specific", Unsat, 1, 1, 179, 64844, 346505,
+        39816}});
+
+  const char *UndefSrc = R"(
+define i4 @f(i4 %a) {
+entry:
+  %x = mul i4 undef, 3
+  %y = add i4 %x, %a
+  ret i4 %y
+}
+)";
+  const char *UndefTgt = R"(
+define i4 @f(i4 %a) {
+entry:
+  ret i4 undef
+}
+)";
+  expectEffort(
+      UndefSrc, UndefTgt,
+      {{"precondition", Sat, 1, 0, 0, 0, 0, 0},
+       {"target is more undefined than source", Unsat, 0, 1, 0, 0, 0, 0},
+       {"target returns when source cannot", Unsat, 0, 1, 0, 0, 0, 0},
+       {"target is more poisonous than source (lane 0)", Unsat, 0, 1, 0, 0, 0,
+        0},
+       {"target's return value is more specific (lane 0)", Unsat, 31, 16, 139,
+        432, 18362, 1395},
+       {"target's memory is more specific", Unsat, 0, 1, 0, 0, 0, 0}});
+}
+
+TEST(Refine, PreconditionFalseRecordsStepOne) {
+  // The loop always runs four iterations, past the unroll bound of 2, so no
+  // execution stays within bounds: step 1 finds the premise unsatisfiable
+  // and that one query is the whole run. With the query cache on (and the
+  // pair level off), the second run replays step 1 from the cache.
+  const char *Src = R"(
+define i32 @f() {
+entry:
+  br label %loop
+loop:
+  %i = phi i32 [ 0, %entry ], [ %inext, %loop ]
+  %inext = add i32 %i, 1
+  %c = icmp eq i32 %inext, 4
+  br i1 %c, label %done, label %loop
+done:
+  ret i32 %inext
+}
+)";
+  const char *Tgt = R"(
+define i32 @f() {
+entry:
+  ret i32 4
+}
+)";
+  auto SrcM = ir::parseModuleOrDie(Src);
+  auto TgtM = ir::parseModuleOrDie(Tgt);
+  Options O;
+  O.Cache.PairLevel = false;
+  Validator Val(O);
+  for (bool Warm : {false, true}) {
+    SCOPED_TRACE(Warm ? "warm" : "cold");
+    smt::resetContext();
+    Verdict V = Val.verifyPair(*SrcM->function(0), *TgtM->function(0),
+                               SrcM.get());
+    EXPECT_EQ(V.Kind, VerdictKind::PreconditionFalse) << V.kindName();
+    EXPECT_EQ(V.FailedCheck, "precondition");
+    EXPECT_EQ(V.QueriesRun, 1u);
+    ASSERT_EQ(V.Queries.size(), 1u);
+    EXPECT_EQ(V.Queries[0].Check, "precondition");
+    EXPECT_EQ(V.Queries[0].Result, QueryResult::Unsat);
+    EXPECT_EQ(V.Queries[0].CacheHit, Warm);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // The Validator facade: option validation, cancellation, verdict streaming,
 // and serial/parallel determinism.

@@ -212,6 +212,23 @@ TEST_F(ExprTest, RewriteApps) {
   EXPECT_EQ(V.low64(), 10u);
 }
 
+TEST_F(ExprTest, RenameApps) {
+  // Renames by prefix, inside other applications' arguments too, and keeps
+  // the suffix after the prefix.
+  Expr X = mkVar("x", 8);
+  std::vector<std::pair<std::string, std::string>> Renames = {
+      {"localinit.srcI", "localinit.tgt"}};
+  Expr Nested = mkApp("localinit.srcI.b", 8,
+                      {mkApp("localinit.srcI", 8, {X})});
+  Expr E = mkAdd(Nested, mkApp("mem0", 8, {X}));
+  Expr Want = mkAdd(
+      mkApp("localinit.tgt.b", 8, {mkApp("localinit.tgt", 8, {X})}),
+      mkApp("mem0", 8, {X}));
+  EXPECT_EQ(renameApps(E, Renames), Want);
+  // Nothing to rename: the very same node comes back.
+  EXPECT_EQ(renameApps(Want, Renames), Want);
+}
+
 TEST_F(ExprTest, FreshVarsAreDistinct) {
   Expr A = mkFreshVar("undef", 8);
   Expr B = mkFreshVar("undef", 8);

@@ -43,14 +43,9 @@ int main(int argc, char **argv) {
     case refine::cli::Parsed::NotMine:
       break;
     }
-    if (!std::strcmp(argv[I], "--generated") && I + 1 < argc) {
-      if (!refine::cli::parseUnsigned(argv[I + 1], Generated)) {
-        std::fprintf(stderr,
-                     "error: --generated expects an integer, got '%s'\n",
-                     argv[I + 1]);
+    if (!std::strcmp(argv[I], "--generated")) {
+      if (!refine::cli::unsignedFlag(argc, argv, I, Generated))
         return 2;
-      }
-      ++I;
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s'\nusage: alive-corpus "

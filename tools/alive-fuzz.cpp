@@ -292,15 +292,9 @@ int main(int argc, char **argv) {
     case refine::cli::Parsed::NotMine:
       break;
     }
-    auto NeedValue = [&](const char *Flag) -> const char * {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "error: %s requires a value\n", Flag);
-        return nullptr;
-      }
-      return argv[++I];
-    };
+    auto NeedValue = [&] { return refine::cli::flagValue(argc, argv, I); };
     if (!std::strcmp(argv[I], "--seed")) {
-      const char *V = NeedValue("--seed");
+      const char *V = NeedValue();
       if (!V)
         return 2;
       char *End = nullptr;
@@ -311,23 +305,19 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (!std::strcmp(argv[I], "--runs")) {
-      const char *V = NeedValue("--runs");
-      if (!V || !refine::cli::parseUnsigned(V, Runs))
+      if (!refine::cli::unsignedFlag(argc, argv, I, Runs))
         return 2;
     } else if (!std::strcmp(argv[I], "--mutations")) {
-      const char *V = NeedValue("--mutations");
-      if (!V || !refine::cli::parseUnsigned(V, Mutations))
+      if (!refine::cli::unsignedFlag(argc, argv, I, Mutations))
         return 2;
     } else if (!std::strcmp(argv[I], "--parser-runs")) {
-      const char *V = NeedValue("--parser-runs");
-      if (!V || !refine::cli::parseUnsigned(V, ParserRuns))
+      if (!refine::cli::unsignedFlag(argc, argv, I, ParserRuns))
         return 2;
     } else if (!std::strcmp(argv[I], "--max-candidates")) {
-      const char *V = NeedValue("--max-candidates");
-      if (!V || !refine::cli::parseUnsigned(V, MaxCandidates))
+      if (!refine::cli::unsignedFlag(argc, argv, I, MaxCandidates))
         return 2;
     } else if (!std::strcmp(argv[I], "--buggy")) {
-      const char *V = NeedValue("--buggy");
+      const char *V = NeedValue();
       if (!V)
         return 2;
       Buggy = V;
@@ -336,7 +326,7 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (!std::strcmp(argv[I], "--pipeline")) {
-      const char *V = NeedValue("--pipeline");
+      const char *V = NeedValue();
       if (!V)
         return 2;
       Pipeline = splitList(V);
@@ -346,12 +336,12 @@ int main(int argc, char **argv) {
           return 2;
         }
     } else if (!std::strcmp(argv[I], "--artifacts")) {
-      const char *V = NeedValue("--artifacts");
+      const char *V = NeedValue();
       if (!V)
         return 2;
       ArtifactsDir = V;
     } else if (!std::strcmp(argv[I], "--repro")) {
-      const char *V = NeedValue("--repro");
+      const char *V = NeedValue();
       if (!V)
         return 2;
       ReproDir = V;
@@ -362,12 +352,12 @@ int main(int argc, char **argv) {
     } else if (!std::strcmp(argv[I], "--profile")) {
       ShowProfile = true;
     } else if (!std::strcmp(argv[I], "--trace-out")) {
-      const char *V = NeedValue("--trace-out");
+      const char *V = NeedValue();
       if (!V)
         return 2;
       TraceOut = V;
     } else if (!std::strcmp(argv[I], "--profile-out")) {
-      const char *V = NeedValue("--profile-out");
+      const char *V = NeedValue();
       if (!V)
         return 2;
       ProfileOut = V;

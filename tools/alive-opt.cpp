@@ -101,8 +101,9 @@ int main(int argc, char **argv) {
   opt::TVHook Hook;
   if (TV) {
     ir::Module *MPtr = M.get();
-    Hook = [&](const ir::Function &Before, const ir::Function &After,
-               const std::string &PassName) {
+    // MPtr by value: the hook outlives this block.
+    Hook = [&, MPtr](const ir::Function &Before, const ir::Function &After,
+                     const std::string &PassName) {
       smt::resetContext();
       refine::Verdict V = Validator.verifyPair(Before, After, MPtr);
       if (V.isCorrect())
