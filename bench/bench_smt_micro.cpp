@@ -109,9 +109,10 @@ static void BM_MonolithicQuery(benchmark::State &State) {
 BENCHMARK(BM_MonolithicQuery);
 
 /// Profiling overhead on the disabled path. Every instrumented phase pays
-/// one prof::Span per entry, so the disabled cost (one relaxed atomic load
-/// in the constructor, one branch in the destructor) is the price the whole
-/// pipeline pays when --profile is off. The acceptance bar is <= 3% on
+/// one prof::Span per entry, so the disabled cost (the span's own
+/// measurement: two clock reads and two copies of the effort tally, plus a
+/// relaxed atomic load) is the price the whole pipeline pays when --profile
+/// is off. The acceptance bar is <= 3% on
 /// solver-bound work; compare BM_BitblastSolveAddProfiled against
 /// BM_BitblastSolveAdd at the same width for the enabled-path cost.
 static void BM_ProfileSpanDisabled(benchmark::State &State) {

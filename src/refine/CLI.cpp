@@ -6,6 +6,10 @@
 
 #include "refine/CLI.h"
 
+#include "support/Profile.h"
+#include "support/Stats.h"
+#include "support/Trace.h"
+
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -77,14 +81,19 @@ bool cli::unsignedFlag(int Argc, char **Argv, int &I, unsigned &Out) {
   return true;
 }
 
-std::string cli::optionsUsage(bool IncludeJobs) {
+std::string OptionsParser::usage() const {
+  char Defaults[256];
+  std::snprintf(Defaults, sizeof Defaults,
+                "  --unroll N       loop unroll bound (default %u)\n"
+                "  --timeout SEC    solver time budget per pair in seconds "
+                "(default %g)\n",
+                Default.UnrollFactor, Default.Budget.TimeoutSec);
   std::string U;
-  if (IncludeJobs)
+  if (Jobs)
     U += "  -j N             verify pairs on N parallel workers "
          "(0 = one per hardware thread)\n";
-  U += "  --unroll N       loop unroll bound (default 2)\n"
-       "  --timeout SEC    solver time budget per pair in seconds\n"
-       "  --equivalence    check plain equivalence instead of refinement\n"
+  U += Defaults;
+  U += "  --equivalence    check plain equivalence instead of refinement\n"
        "  --cache-dir DIR  persist the result cache to DIR/alive2re.cache "
        "(warm runs skip\n"
        "                   unchanged pairs and report them as cached)\n"
@@ -99,7 +108,14 @@ std::string cli::optionsUsage(bool IncludeJobs) {
        "deadline-skipped\n"
        "  --mem-limit MB   memory watchdog: cancel the longest-running pair "
        "when process\n"
-       "                   RSS exceeds MB megabytes (0 = off)\n";
+       "                   RSS exceeds MB megabytes (0 = off)\n"
+       "  --stats          print the statistics registry after the run\n"
+       "  --trace-out FILE stream JSONL pipeline events to FILE\n"
+       "  --profile        print the per-phase profile table after the run\n"
+       "  --profile-out FILE  write a Chrome trace-event profile "
+       "(Perfetto / chrome://tracing)\n"
+       "  --slow-query-ms N   log path + cost of staged queries "
+       "slower than N ms to stderr\n";
   return U;
 }
 
@@ -175,6 +191,31 @@ Parsed OptionsParser::consume(int Argc, char **Argv, int &I) {
   }
   if (Jobs && (!std::strcmp(A, "-j") || !std::strcmp(A, "--jobs")))
     return unsignedFlag(Argc, Argv, I, *Jobs) ? Parsed::Ok : Parsed::Error;
+  if (!std::strcmp(A, "--stats")) {
+    ShowStats = true;
+    return Parsed::Ok;
+  }
+  if (!std::strcmp(A, "--profile")) {
+    ShowProfile = true;
+    return Parsed::Ok;
+  }
+  if (!std::strcmp(A, "--trace-out"))
+    return (TraceOut = flagValue(Argc, Argv, I)) ? Parsed::Ok : Parsed::Error;
+  if (!std::strcmp(A, "--profile-out"))
+    return (ProfileOut = flagValue(Argc, Argv, I)) ? Parsed::Ok
+                                                   : Parsed::Error;
+  if (!std::strcmp(A, "--slow-query-ms")) {
+    if (!value())
+      return Parsed::Error;
+    if (!parseDouble(Val, SlowQueryMs) || SlowQueryMs < 0) {
+      std::fprintf(stderr,
+                   "error: --slow-query-ms expects a non-negative number, "
+                   "got '%s'\n",
+                   Val);
+      return Parsed::Error;
+    }
+    return Parsed::Ok;
+  }
   return Parsed::NotMine;
 }
 
@@ -184,4 +225,32 @@ bool OptionsParser::validate() const {
     return true;
   std::fprintf(stderr, "error: invalid options: %s\n", Err.c_str());
   return false;
+}
+
+bool OptionsParser::openSinks() const {
+  if (TraceOut && !trace::openFile(TraceOut)) {
+    std::fprintf(stderr, "error: cannot open trace file '%s'\n", TraceOut);
+    return false;
+  }
+  // Any profiling consumer turns span collection on, before the tool
+  // parses its input so the parse span is part of the profile too.
+  if (ShowProfile || ProfileOut || SlowQueryMs >= 0) {
+    if (SlowQueryMs >= 0)
+      prof::setSlowQueryMs(SlowQueryMs);
+    prof::start();
+  }
+  return true;
+}
+
+bool OptionsParser::closeSinks(std::FILE *Tables) const {
+  if (ShowStats)
+    std::fputs(stats::Registry::get().table().c_str(), Tables);
+  if (ShowProfile)
+    std::fputs(prof::table().c_str(), Tables);
+  bool Ok = !ProfileOut || prof::writeChromeTrace(ProfileOut);
+  if (!Ok)
+    std::fprintf(stderr, "error: cannot write profile file '%s'\n",
+                 ProfileOut);
+  trace::close();
+  return Ok;
 }

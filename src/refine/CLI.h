@@ -9,10 +9,11 @@
 /// argv loop for the flags that map onto refine::Options — and the copies
 /// diverged: alive-tv validated values, alive-opt and alive-corpus ran them
 /// through atoi and silently accepted garbage. This parser owns the shared
-/// flags (--unroll, --timeout, --equivalence, the cache flags --cache-dir /
-/// --no-query-cache, and -j/--jobs where a tool is parallel); tools offer
-/// each argv slot to it first and keep only their tool-specific flags.
-/// Malformed values are diagnosed on stderr and the tool exits 2.
+/// flags (--unroll, --timeout, --equivalence, the cache and governance
+/// flags, -j/--jobs where a tool is parallel, and the observability flags
+/// --stats, --trace-out, --profile, --profile-out, --slow-query-ms); tools
+/// offer each argv slot to it first and keep only their tool-specific
+/// flags. Malformed values are diagnosed on stderr and the tool exits 2.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 
 #include "refine/Refinement.h"
 
+#include <cstdio>
 #include <string>
 
 namespace alive::refine::cli {
@@ -54,15 +56,12 @@ enum class Parsed {
   Error,   ///< shared flag with a bad/missing value; diagnostic printed
 };
 
-/// Usage lines for the shared flags, each "  --flag ...\n", for a tool to
-/// splice into its own usage() output. \p IncludeJobs adds the -j line.
-std::string optionsUsage(bool IncludeJobs);
-
 class OptionsParser {
 public:
+  /// \p Opts holds the tool's defaults on entry; usage() prints those.
   /// \p Jobs enables -j/--jobs; pass null for serial tools.
   explicit OptionsParser(Options &Opts, unsigned *Jobs = nullptr)
-      : Opts(Opts), Jobs(Jobs) {}
+      : Opts(Opts), Jobs(Jobs), Default(Opts) {}
 
   /// Offers argv[\p I] to the parser; consuming a flag's value advances
   /// \p I. On Error the diagnostic is already on stderr — return 2.
@@ -72,9 +71,27 @@ public:
   /// diagnostic on failure — a false return means exit 2.
   bool validate() const;
 
+  /// Usage lines for the shared flags with the tool's defaults, each
+  /// "  --flag ...\n", for a tool to splice into its own usage() output.
+  std::string usage() const;
+
+  /// Before the run: attaches the --trace-out sink and starts span
+  /// collection when a profiling flag asks for it. A false return (the
+  /// diagnostic is printed) means exit 2.
+  bool openSinks() const;
+
+  /// After the run: prints the --stats and --profile tables to \p Tables,
+  /// writes the --profile-out file and closes the trace. A false return
+  /// (the diagnostic is printed) means exit 2.
+  bool closeSinks(std::FILE *Tables) const;
+
 private:
   Options &Opts;
   unsigned *Jobs;
+  const Options Default;
+  bool ShowStats = false, ShowProfile = false;
+  const char *TraceOut = nullptr, *ProfileOut = nullptr;
+  double SlowQueryMs = -1;
 };
 
 } // namespace alive::refine::cli

@@ -91,8 +91,9 @@ std::string renderCounterexample(const Model &M, const Function &SrcF) {
 class RefinementCheck {
 public:
   RefinementCheck(const Function &Src, const Function &Tgt, const Module *M,
-                  const Options &Opts, support::QueryCache *QC)
-      : SrcF(Src), TgtF(Tgt), M(M), Opts(Opts), QC(QC) {}
+                  const Options &Opts, support::QueryCache *QC,
+                  const prof::Span &Pair)
+      : SrcF(Src), TgtF(Tgt), M(M), Opts(Opts), QC(QC), Pair(Pair) {}
 
   Verdict run();
 
@@ -103,7 +104,8 @@ private:
   const Options &Opts;
   /// Staged-query result cache; null = query level disabled.
   support::QueryCache *QC;
-  Stopwatch Timer;
+  /// The verify_pair span, whose clock is the pair's budget and time.
+  const prof::Span &Pair;
 
   std::unique_ptr<Function> SrcU, TgtU;
   std::unique_ptr<MemoryLayout> Layout;
@@ -122,7 +124,7 @@ private:
     V.FailedCheck = std::move(Check);
     V.Detail = std::move(Detail);
     V.Why = Why;
-    V.Seconds = Timer.seconds();
+    V.Seconds = Pair.seconds();
     // A single attempt is its own cumulative cost; the Validator's retry
     // ladder overwrites this with the whole-ladder sum.
     V.CumulativeSeconds = V.Seconds;
@@ -139,7 +141,6 @@ private:
     Reason Why = Reason::None;
     bool Approx = false;
     std::string Detail;
-    SolveStats Cost;
     unsigned Iterations = 0;
   };
 
@@ -169,11 +170,11 @@ template <typename FpFn, typename SolveFn>
 RefinementCheck::Answer
 RefinementCheck::stagedQuery(const std::string &Check, FpFn Fingerprint,
                              SolveFn Solve) {
-  prof::Span ProfSpan("staged_query", Check);
+  ALIVE_STAT_SAMPLER(QueryTime, "time.query");
+  prof::Span ProfSpan("staged_query", Check, QueryTime);
   ++Queries;
   ALIVE_STAT_COUNTER(QueryCount, "refine.queries");
   QueryCount.inc();
-  Stopwatch QTimer;
 
   // The query is fully assembled, so its canonical fingerprint is available
   // before any solver work. A hit skips the search entirely; sat-side hits
@@ -197,32 +198,27 @@ RefinementCheck::stagedQuery(const std::string &Check, FpFn Fingerprint,
   if (!Hit)
     A = Solve();
 
+  prof::Tally E = ProfSpan.effort();
   QueryStats QS;
   QS.Check = Check;
   QS.Result = A.Result;
-  QS.Seconds = QTimer.seconds();
-  QS.SolverSeconds = A.Cost.Seconds;
-  QS.SatChecks = A.Cost.Checks;
+  QS.Seconds = ProfSpan.seconds();
+  QS.SolverSeconds = E.SolverSeconds;
+  QS.SatChecks = E.SatChecks;
   QS.EFIterations = A.Iterations;
-  QS.Conflicts = A.Cost.Conflicts;
-  QS.Decisions = A.Cost.Decisions;
-  QS.Propagations = A.Cost.Propagations;
-  QS.Clauses = A.Cost.Clauses;
+  QS.Conflicts = E.Conflicts;
+  QS.Decisions = E.Decisions;
+  QS.Propagations = E.Propagations;
+  QS.Clauses = E.Clauses;
   QS.CacheHit = Hit;
   if (trace::enabled())
     trace::Event("query")
         .str("check", QS.Check)
         .str("result", toString(QS.Result))
         .num("seconds", QS.Seconds)
-        .num("solver_seconds", QS.SolverSeconds)
-        .num("sat_checks", QS.SatChecks)
         .num("ef_iterations", QS.EFIterations)
-        .num("conflicts", QS.Conflicts)
-        .num("decisions", QS.Decisions)
-        .num("propagations", QS.Propagations)
-        .num("clauses", QS.Clauses)
+        .effort(E)
         .flag("cached", QS.CacheHit);
-  stats::addSample("time.query", QS.Seconds);
   QStats.push_back(std::move(QS));
 
   if (QC && !Hit &&
@@ -261,7 +257,7 @@ RefinementCheck::runQuery(const std::string &CheckName,
         Answer Out;
         // Each staged query gets what is left of the pair's budget.
         SolverBudget B = Opts.Budget;
-        B.TimeoutSec -= Timer.seconds();
+        B.TimeoutSec -= Pair.seconds();
         if (B.TimeoutSec <= 0) {
           Out.Result = QueryResult::BudgetExhausted;
           return Out;
@@ -269,7 +265,6 @@ RefinementCheck::runQuery(const std::string &CheckName,
         EFOutcome R = solveExistsForall(Q, B);
         Out.Result = toQueryResult(R.Res);
         Out.Why = R.UnknownReason;
-        Out.Cost = R.Cost;
         Out.Iterations = R.Iterations;
         if (R.Res != SatResult::Sat)
           return Out;
@@ -428,7 +423,6 @@ Verdict RefinementCheck::run() {
         Answer Out;
         Out.Result = toQueryResult(R.Res);
         Out.Why = R.UnknownReason;
-        Out.Cost = R.Stats;
         return Out;
       });
   if (Pre.Result == QueryResult::Unsat)
@@ -567,10 +561,9 @@ Verdict refine::detail::checkPair(const Function &Src, const Function &Tgt,
                                   support::QueryCache *QC, unsigned Rung) {
   ALIVE_STAT_COUNTER(Pairs, "refine.pairs");
   Pairs.inc();
-  prof::Span ProfSpan("verify_pair", Src.name());
   ALIVE_STAT_SAMPLER(VerifyTime, "time.verify");
-  stats::ScopedTimer Timer(VerifyTime);
-  RefinementCheck C(Src, Tgt, M, Opts, QC);
+  prof::Span ProfSpan("verify_pair", Src.name(), VerifyTime);
+  RefinementCheck C(Src, Tgt, M, Opts, QC, ProfSpan);
   Verdict V = C.run();
   V.Rung = Rung;
   traceVerdict(Src.name(), V);

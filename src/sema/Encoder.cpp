@@ -1348,9 +1348,8 @@ sema::encodeFunction(const Function &F, const MemoryLayout &L,
   Functions.inc();
   // Detail = encoding tag: the src/srcI/tgt copies show up separately in
   // the Chrome trace while aggregating as one "encode" phase.
-  prof::Span ProfSpan("encode", Opts.Tag);
   ALIVE_STAT_SAMPLER(EncodeTime, "time.encode");
-  stats::ScopedTimer Timer(EncodeTime);
+  prof::Span ProfSpan("encode", Opts.Tag, EncodeTime);
   Encoder E(F, L, Sinks, Opts);
   return E.run();
 }

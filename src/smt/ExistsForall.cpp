@@ -6,7 +6,6 @@
 
 #include "smt/ExistsForall.h"
 
-#include "support/Diag.h"
 #include "support/Profile.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
@@ -242,32 +241,26 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
   EFOutcome Out;
   // Constructed before the TraceEmitter so the "ef_query" trace event
   // (emitted in the Emitter's destructor) still carries this span's id.
-  prof::Span ProfSpan("ef_search");
-  Stopwatch Timer;
+  ALIVE_STAT_SAMPLER(QueryTime, "time.ef_query");
+  prof::Span ProfSpan("ef_search", {}, QueryTime);
   ALIVE_STAT_COUNTER(Queries, "ef.queries");
   Queries.inc();
 
   // Emits the query's summary on every exit path.
   struct TraceEmitter {
     EFOutcome &Out;
-    Stopwatch &Timer;
+    const prof::Span &Span;
     ~TraceEmitter() {
-      stats::addSample("time.ef_query", Timer.seconds());
       if (!trace::enabled())
         return;
       trace::Event("ef_query")
           .str("result", toString(Out.Res))
           .num("iterations", Out.Iterations)
-          .num("seconds", Timer.seconds())
-          .num("solver_seconds", Out.Cost.Seconds)
-          .num("sat_checks", Out.Cost.Checks)
-          .num("conflicts", Out.Cost.Conflicts)
-          .num("decisions", Out.Cost.Decisions)
-          .num("propagations", Out.Cost.Propagations)
-          .num("clauses", Out.Cost.Clauses)
+          .num("seconds", Span.seconds())
+          .effort(Span.effort())
           .flag("approx_involved", Out.ApproxInvolved);
     }
-  } Emitter{Out, Timer};
+  } Emitter{Out, ProfSpan};
 
   std::vector<Expr> Outer = Query.Outer;
   Expr Phi = Query.Inner;
@@ -381,7 +374,7 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
         Out.UnknownReason = Reason::Cancelled;
         return Phase::Unknown;
       }
-      double Remaining = Budget.TimeoutSec - Timer.seconds();
+      double Remaining = Budget.TimeoutSec - ProfSpan.seconds();
       if (Remaining <= 0) {
         Out.Res = SatResult::Unknown;
         Out.UnknownReason = Reason::Timeout;
@@ -391,7 +384,6 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
       SubBudget.TimeoutSec = Remaining;
 
       SolveOutcome OuterRes = OuterSolver.check(SubBudget);
-      Out.Cost.add(OuterRes.Stats);
       if (OuterRes.isUnsat())
         return Phase::Unsat;
       if (OuterRes.isUnknown()) {
@@ -401,18 +393,22 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
       }
 
       // Instantiate Phi with the candidate outer model.
-      std::unordered_map<ExprId, Expr> OuterSubst;
-      for (ExprId V : OuterVars) {
-        Expr Var(V);
-        BitVec Val = OuterRes.M.get(Var);
-        OuterSubst[V] = Var.isBool() ? mkBool(!Val.isZero()) : mkBV(Val);
+      Expr PhiInst;
+      {
+        prof::Span InstSpan("ef_instantiate");
+        std::unordered_map<ExprId, Expr> OuterSubst;
+        for (ExprId V : OuterVars) {
+          Expr Var(V);
+          BitVec Val = OuterRes.M.get(Var);
+          OuterSubst[V] = Var.isBool() ? mkBool(!Val.isZero()) : mkBV(Val);
+        }
+        PhiInst = substitute(Phi, OuterSubst);
       }
-      Expr PhiInst = substitute(Phi, OuterSubst);
 
       Model Witness;
       bool NoInnerWitness = PhiInst.isFalse();
       if (!NoInnerWitness && !PhiInst.isTrue()) {
-        Remaining = Budget.TimeoutSec - Timer.seconds();
+        Remaining = Budget.TimeoutSec - ProfSpan.seconds();
         if (Remaining <= 0) {
           Out.Res = SatResult::Unknown;
           Out.UnknownReason = Reason::Timeout;
@@ -420,7 +416,6 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
         }
         SubBudget.TimeoutSec = Remaining;
         SolveOutcome InnerRes = checkSat(PhiInst, SubBudget);
-        Out.Cost.add(InnerRes.Stats);
         if (InnerRes.isUnknown()) {
           Out.Res = SatResult::Unknown;
           Out.UnknownReason = InnerRes.UnknownReason;

@@ -70,10 +70,6 @@ struct EFOutcome {
   Model M;
   Reason UnknownReason = Reason::None;
   unsigned Iterations = 0;
-  /// Aggregate SAT effort over every outer and inner check of the search
-  /// (tentpole observability layer): the refinement layer attaches this to
-  /// its per-staged-query records.
-  SolveStats Cost;
   /// True when Res == Sat but the model's support includes an avoided
   /// (over-approximated) application: report as unsupported, not as a bug.
   bool ApproxInvolved = false;

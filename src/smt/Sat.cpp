@@ -433,11 +433,13 @@ uint64_t SatSolver::lubySequence(uint64_t I) {
 SatStatus SatSolver::solve(const SatLimits &Limits) {
   // Span first, flusher second: the flusher's destructor runs before the
   // span's, so the span observes this solve's per-thread tally deltas.
-  prof::Span ProfSpan("sat_solve");
+  ALIVE_STAT_SAMPLER(SolveTime, "time.sat_check");
+  prof::Span ProfSpan("sat_solve", {}, SolveTime);
   // Flush this solve's effort deltas into the global registry on every exit
   // path. The search loop itself only touches plain members.
   struct StatFlusher {
     SatSolver &S;
+    const prof::Span &Span;
     uint64_t C0 = S.Conflicts, D0 = S.Decisions, P0 = S.Propagations;
     uint64_t R0 = S.Restarts, L0 = S.LearnedClauses, Red0 = S.DbReductions;
     ~StatFlusher() {
@@ -464,12 +466,15 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
       // span attribution stays exact under -j N (a pair never migrates
       // between threads).
       prof::Tally &T = prof::tally();
+      T.SolverSeconds += Span.seconds();
       T.Conflicts += S.Conflicts - C0;
       T.Decisions += S.Decisions - D0;
       T.Propagations += S.Propagations - P0;
       ++T.SatChecks;
+      T.Restarts += S.Restarts - R0;
+      T.Clauses = std::max<uint64_t>(T.Clauses, S.NumClauses);
     }
-  } Flusher{*this};
+  } Flusher{*this, ProfSpan};
 
   if (Unsat)
     return SatStatus::Unsat;
@@ -485,7 +490,6 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
     UnknownReason = Reason::Memory;
     return SatStatus::Unknown;
   }
-  Stopwatch Timer;
   backtrack(0);
   if (propagate() != NoReason) {
     Unsat = true;
@@ -526,7 +530,7 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
           UnknownReason = Reason::Cancelled;
           return SatStatus::Unknown;
         }
-        if (Timer.seconds() > Limits.TimeoutSec) {
+        if (ProfSpan.seconds() > Limits.TimeoutSec) {
           UnknownReason = Reason::Timeout;
           return SatStatus::Unknown;
         }
@@ -582,7 +586,7 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
         UnknownReason = Reason::Cancelled;
         return SatStatus::Unknown;
       }
-      if (Timer.seconds() > Limits.TimeoutSec) {
+      if (ProfSpan.seconds() > Limits.TimeoutSec) {
         UnknownReason = Reason::Timeout;
         return SatStatus::Unknown;
       }

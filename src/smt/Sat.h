@@ -99,7 +99,6 @@ public:
   uint64_t numConflicts() const { return Conflicts; }
   uint64_t numDecisions() const { return Decisions; }
   uint64_t numPropagations() const { return Propagations; }
-  uint64_t numRestarts() const { return Restarts; }
   uint64_t numLearnedClauses() const { return LearnedClauses; }
   uint64_t numDbReductions() const { return DbReductions; }
   /// Live (original plus kept learned) clauses of two or more literals.

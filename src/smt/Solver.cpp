@@ -26,6 +26,7 @@ Solver::~Solver() = default;
 
 bool Ackermannizer::addApps(std::span<const Expr> Roots,
                             const std::function<void(Expr, bool)> &OnAxiom) {
+  prof::Span ProfSpan("ackermannize");
   std::unordered_set<ExprId> Reached;
   for (Expr E : Roots)
     collectApps(E, Reached);
@@ -112,78 +113,50 @@ void Solver::flushBlastStats() {
 }
 
 SolveOutcome Solver::check(const SolverBudget &Budget) {
-  // Child sat_solve spans cover the CDCL core; this span's self time is
-  // model extraction plus telemetry flushing.
+  // Child spans cover the CDCL core (sat_solve) and model extraction
+  // (model); this span's self time is telemetry flushing.
   prof::Span ProfSpan("sat_check");
   ALIVE_STAT_COUNTER(Checks, "solver.checks");
   Checks.inc();
   flushBlastStats();
 
   SolveOutcome Out;
-  auto finish = [&]() {
-    if (Out.Stats.Checks) {
-      ALIVE_STAT_SAMPLER(CheckTime, "time.sat_check");
-      CheckTime.record(Out.Stats.Seconds);
-    }
-    if (trace::enabled())
-      trace::Event("sat_check")
-          .str("result", toString(Out.Res))
-          .num("seconds", Out.Stats.Seconds)
-          .num("conflicts", Out.Stats.Conflicts)
-          .num("decisions", Out.Stats.Decisions)
-          .num("propagations", Out.Stats.Propagations)
-          .num("restarts", Out.Stats.Restarts)
-          .num("clauses", Out.Stats.Clauses)
-          .num("vars", Out.Stats.CnfVars);
-  };
-
   if (TriviallyUnsat) {
     Out.Res = SatResult::Unsat;
-    finish();
-    return Out;
-  }
-  if (Blaster->overBudget()) {
-    Out.Res = SatResult::Unknown;
+  } else if (Blaster->overBudget()) {
     Out.UnknownReason = Reason::Memory;
-    finish();
-    return Out;
+  } else {
+    SatLimits Limits;
+    Limits.TimeoutSec = Budget.TimeoutSec;
+    Limits.MaxLiterals = Budget.MaxLiterals;
+    Limits.MaxConflicts = Budget.MaxConflicts;
+    Limits.Cancel = Budget.Cancel;
+    switch (Sat->solve(Limits)) {
+    case SatStatus::Unsat:
+      Out.Res = SatResult::Unsat;
+      break;
+    case SatStatus::Unknown:
+      Out.UnknownReason = Sat->unknownReason();
+      break;
+    case SatStatus::Sat: {
+      Out.Res = SatResult::Sat;
+      prof::Span ModelSpan("model");
+      for (ExprId VarId : SeenVars)
+        Out.M.set(VarId, Blaster->readVar(Expr(VarId)));
+      break;
+    }
+    }
   }
-  SatLimits Limits;
-  Limits.TimeoutSec = Budget.TimeoutSec;
-  Limits.MaxLiterals = Budget.MaxLiterals;
-  Limits.MaxConflicts = Budget.MaxConflicts;
-  Limits.Cancel = Budget.Cancel;
 
-  uint64_t C0 = Sat->numConflicts(), D0 = Sat->numDecisions();
-  uint64_t P0 = Sat->numPropagations(), R0 = Sat->numRestarts();
-  Stopwatch Timer;
-  SatStatus St = Sat->solve(Limits);
-  Out.Stats.Seconds = Timer.seconds();
-  Out.Stats.Checks = 1;
-  Out.Stats.Conflicts = Sat->numConflicts() - C0;
-  Out.Stats.Decisions = Sat->numDecisions() - D0;
-  Out.Stats.Propagations = Sat->numPropagations() - P0;
-  Out.Stats.Restarts = Sat->numRestarts() - R0;
-  Out.Stats.Clauses = Sat->numClauses();
-  Out.Stats.CnfVars = (size_t)Sat->numVars();
-
-  switch (St) {
-  case SatStatus::Unsat:
-    Out.Res = SatResult::Unsat;
-    finish();
-    return Out;
-  case SatStatus::Unknown:
-    Out.Res = SatResult::Unknown;
-    Out.UnknownReason = Sat->unknownReason();
-    finish();
-    return Out;
-  case SatStatus::Sat:
-    break;
+  if (trace::enabled()) {
+    prof::Tally E = ProfSpan.effort();
+    trace::Event("sat_check")
+        .str("result", toString(Out.Res))
+        .num("seconds", ProfSpan.seconds())
+        .effort(E)
+        // A check answered without the SAT search reports no variables.
+        .num("vars", E.SatChecks ? Sat->numVars() : 0);
   }
-  Out.Res = SatResult::Sat;
-  for (ExprId VarId : SeenVars)
-    Out.M.set(VarId, Blaster->readVar(Expr(VarId)));
-  finish();
   return Out;
 }
 

@@ -55,44 +55,14 @@ struct SolverBudget {
   const std::atomic<bool> *Cancel = nullptr;
 };
 
-/// Aggregated solver effort over one or more satisfiability checks. Every
-/// check() fills one of these; the exists-forall engine and the refinement
-/// layer accumulate them so callers see per-query cost without reaching
-/// into solver internals.
-struct SolveStats {
-  /// Wall time spent inside SatSolver::solve.
-  double Seconds = 0;
-  /// Number of solve() calls aggregated here.
-  unsigned Checks = 0;
-  uint64_t Conflicts = 0;
-  uint64_t Decisions = 0;
-  uint64_t Propagations = 0;
-  uint64_t Restarts = 0;
-  /// Peak clause-database size over the aggregated checks.
-  size_t Clauses = 0;
-  /// Peak CNF variable count over the aggregated checks.
-  size_t CnfVars = 0;
-
-  void add(const SolveStats &O) {
-    Seconds += O.Seconds;
-    Checks += O.Checks;
-    Conflicts += O.Conflicts;
-    Decisions += O.Decisions;
-    Propagations += O.Propagations;
-    Restarts += O.Restarts;
-    Clauses = Clauses > O.Clauses ? Clauses : O.Clauses;
-    CnfVars = CnfVars > O.CnfVars ? CnfVars : O.CnfVars;
-  }
-};
-
 /// Outcome of a check: a verdict, a model when Sat, and a typed reason when
 /// Unknown (Timeout, Memory, Cancelled, ConflictBudget, QuantifierLimit).
+/// The check's effort is on the enclosing prof::Span (see
+/// support/Profile.h).
 struct SolveOutcome {
   SatResult Res = SatResult::Unknown;
   Model M;
   Reason UnknownReason = Reason::None;
-  /// Effort spent by this check (tentpole observability layer).
-  SolveStats Stats;
 
   bool isSat() const { return Res == SatResult::Sat; }
   bool isUnsat() const { return Res == SatResult::Unsat; }

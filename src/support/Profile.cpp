@@ -17,6 +17,7 @@
 #include <map>
 #include <mutex>
 #include <ostream>
+#include <type_traits>
 
 using namespace alive;
 using namespace alive::prof;
@@ -65,14 +66,22 @@ std::string currentPath() {
   return Out;
 }
 
+/// Appends each effort key of \p T as " key=value", or with \p Json as
+/// ",\"key\":value".
+void appendEffort(std::string &Out, const Tally &T, bool Json) {
+  T.forEach([&](const char *Key, auto V) {
+    char Buf[64];
+    if constexpr (std::is_same_v<decltype(V), double>)
+      std::snprintf(Buf, sizeof Buf, Json ? ",\"%s\":%.9g" : " %s=%.9g", Key,
+                    V);
+    else
+      std::snprintf(Buf, sizeof Buf,
+                    Json ? ",\"%s\":%" PRIu64 : " %s=%" PRIu64, Key, V);
+    Out += Buf;
+  });
+}
+
 void logSlowQuery(const SpanRecord &R) {
-  char Nums[256];
-  std::snprintf(Nums, sizeof Nums,
-                "  conflicts=%" PRIu64 " decisions=%" PRIu64
-                " propagations=%" PRIu64 " rewrites=%" PRIu64
-                " sat_checks=%" PRIu64 "\n",
-                R.Conflicts, R.Decisions, R.Propagations, R.Rewrites,
-                R.SatChecks);
   char Head[64];
   std::snprintf(Head, sizeof Head, "[slow-query] %.1f ms  path=",
                 R.DurSec * 1000.0);
@@ -82,8 +91,9 @@ void logSlowQuery(const SpanRecord &R) {
     Path += '>';
   Line += Path;
   Line += R.Name;
-  Line += "  check=\"" + R.Detail + "\"";
-  Line += Nums;
+  Line += "  check=\"" + R.Detail + "\" ";
+  appendEffort(Line, R.Effort, /*Json=*/false);
+  Line += '\n';
   std::lock_guard<std::mutex> Lock(SlowMu);
   if (SlowSink) {
     *SlowSink << Line;
@@ -126,21 +136,39 @@ Tally &prof::tally() {
   return T;
 }
 
-Span::Span(const char *Name, std::string_view Detail)
-    : On(Enabled.load(std::memory_order_acquire)), Name(Name) {
-  if (!On)
+Span::Span(const char *Name, std::string_view Detail, stats::Sampler Time)
+    : Name(Name), Time(Time), At0(tally()) {
+  tally().Clauses = 0;
+  if (!Enabled.load(std::memory_order_acquire))
     return;
   this->Detail = Detail;
   ThreadState &TS = threadState();
   SpanId = NextSpanId.fetch_add(1, std::memory_order_relaxed);
   ParentId = TS.Stack.empty() ? TS.InheritedParent : TS.Stack.back().Id;
   TS.Stack.push_back({SpanId, Name});
-  At0 = tally();
   Start = Epoch.seconds();
 }
 
+Tally Span::effort() const {
+  // Clauses was cleared at open, so it already is this span's peak.
+  Tally D = tally();
+  D.SolverSeconds -= At0.SolverSeconds;
+  D.SatChecks -= At0.SatChecks;
+  D.Conflicts -= At0.Conflicts;
+  D.Decisions -= At0.Decisions;
+  D.Propagations -= At0.Propagations;
+  D.Restarts -= At0.Restarts;
+  D.Rewrites -= At0.Rewrites;
+  return D;
+}
+
 Span::~Span() {
-  if (!On)
+  double Dur = seconds();
+  Time.record(Dur);
+  Tally Effort = effort();
+  Tally &T = tally();
+  T.Clauses = std::max(T.Clauses, At0.Clauses);
+  if (!SpanId)
     return;
   SpanRecord R;
   R.Id = SpanId;
@@ -149,13 +177,8 @@ Span::~Span() {
   R.Detail = std::move(Detail);
   R.Tid = threadId();
   R.StartSec = Start;
-  R.DurSec = Epoch.seconds() - Start;
-  const Tally &T = tally();
-  R.Conflicts = T.Conflicts - At0.Conflicts;
-  R.Decisions = T.Decisions - At0.Decisions;
-  R.Propagations = T.Propagations - At0.Propagations;
-  R.Rewrites = T.Rewrites - At0.Rewrites;
-  R.SatChecks = T.SatChecks - At0.SatChecks;
+  R.DurSec = Dur;
+  R.Effort = Effort;
 
   // RAII spans unwind strictly nested, so this span is the innermost open
   // one; pop before the slow log so the path ends at this span's parent.
@@ -231,9 +254,7 @@ std::vector<PhaseAgg> prof::aggregate() {
     if (auto It = ChildSec.find(R.Id); It != ChildSec.end())
       Self -= It->second;
     A.SelfSec += std::max(Self, 0.0);
-    A.Conflicts += R.Conflicts;
-    A.Decisions += R.Decisions;
-    A.Propagations += R.Propagations;
+    A.Conflicts += R.Effort.Conflicts;
   }
 
   std::vector<PhaseAgg> Out;
@@ -302,14 +323,12 @@ bool prof::writeChromeTrace(const std::string &Path) {
     std::snprintf(Buf, sizeof Buf,
                   "%s\n{\"ph\":\"X\",\"pid\":1,\"tid\":%u,\"ts\":%.3f,"
                   "\"dur\":%.3f,\"name\":\"%s\",\"cat\":\"alive\","
-                  "\"args\":{\"span\":%" PRIu64 ",\"parent\":%" PRIu64
-                  ",\"conflicts\":%" PRIu64 ",\"decisions\":%" PRIu64
-                  ",\"propagations\":%" PRIu64 ",\"rewrites\":%" PRIu64
-                  ",\"sat_checks\":%" PRIu64 ",\"detail\":\"",
+                  "\"args\":{\"span\":%" PRIu64 ",\"parent\":%" PRIu64,
                   First ? "" : ",", R.Tid, R.StartSec * 1e6, R.DurSec * 1e6,
-                  R.Name, R.Id, R.Parent, R.Conflicts, R.Decisions,
-                  R.Propagations, R.Rewrites, R.SatChecks);
-    OS << Buf << trace::jsonEscape(R.Detail) << "\"}}";
+                  R.Name, R.Id, R.Parent);
+    std::string Args = Buf;
+    appendEffort(Args, R.Effort, /*Json=*/true);
+    OS << Args << ",\"detail\":\"" << trace::jsonEscape(R.Detail) << "\"}}";
     First = false;
   }
   OS << "\n]}\n";

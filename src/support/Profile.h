@@ -12,22 +12,22 @@
 ///
 ///   verify_pair > unroll / encode / staged_query > ef_iteration > sat_check
 ///
-/// A span records its wall time (steady clock) plus deltas of the
-/// per-thread effort tally (SAT conflicts / decisions / propagations,
-/// simplifier rewrites, SAT checks) between construction and destruction,
-/// so solver work is *attributed* to the phase that incurred it. The tally
-/// is thread_local and a pair is verified entirely on one thread (see
-/// refine::Validator), so attribution stays exact under `-j N`; deltas are
-/// inclusive of child spans.
+/// A span is the one measurement of its phase. It always records its wall
+/// time (steady clock) plus deltas of the per-thread effort tally between
+/// construction and destruction, so solver work is *attributed* to the
+/// phase that incurred it; callers read seconds() and effort() rather than
+/// timing the phase again. The tally is thread_local and a pair is verified
+/// entirely on one thread (see refine::Validator), so attribution stays
+/// exact under `-j N`; deltas are inclusive of child spans.
 ///
 /// Spans cross ThreadPool/Validator job boundaries explicitly: the
 /// submitting thread captures a Context (current span id + path) at
 /// fan-out, and the worker installs it with an Adopt guard, making the
 /// batch span the parent of every per-pair span it spawned.
 ///
-/// Everything is disabled by default. A disabled Span costs one relaxed
-/// atomic load; the tally increments are unconditional plain thread_local
-/// adds (cheaper than the stats registry's atomics on the same paths).
+/// Profiling (off by default) decides only whether a span gets an id and a
+/// record; the tally increments are unconditional plain thread_local adds
+/// (cheaper than the stats registry's atomics on the same paths).
 ///
 /// Consumers (see also tools/check_trace.py and DESIGN.md):
 ///  * writeChromeTrace() - Chrome trace-event JSON, loadable in Perfetto /
@@ -41,6 +41,9 @@
 
 #ifndef ALIVE2RE_SUPPORT_PROFILE_H
 #define ALIVE2RE_SUPPORT_PROFILE_H
+
+#include "support/Diag.h"
+#include "support/Stats.h"
 
 #include <cstdint>
 #include <iosfwd>
@@ -69,13 +72,33 @@ unsigned threadId();
 
 /// Per-thread running totals of solver effort, bumped unconditionally by
 /// the instrumented layers (SatSolver::solve, Simplify's fold). Spans
-/// snapshot this at both ends; the difference is the span's attribution.
+/// snapshot this at both ends; the difference is the span's effort.
 struct Tally {
+  /// Wall time of the sat_solve spans.
+  double SolverSeconds = 0;
+  uint64_t SatChecks = 0;
   uint64_t Conflicts = 0;
   uint64_t Decisions = 0;
   uint64_t Propagations = 0;
+  uint64_t Restarts = 0;
   uint64_t Rewrites = 0;
-  uint64_t SatChecks = 0;
+  /// Peak clause-database size at the end of a SAT check: a high-water
+  /// mark that a span saves and clears when it opens and folds back in when
+  /// it closes, so a span's effort holds the peak of its own checks.
+  uint64_t Clauses = 0;
+
+  /// The effort keys, listed once: calls \p F(key, value) per field. Trace
+  /// events, Chrome args and the slow-query log print a tally through it.
+  template <typename Fn> void forEach(Fn &&F) const {
+    F("solver_seconds", SolverSeconds);
+    F("sat_checks", SatChecks);
+    F("conflicts", Conflicts);
+    F("decisions", Decisions);
+    F("propagations", Propagations);
+    F("restarts", Restarts);
+    F("rewrites", Rewrites);
+    F("clauses", Clauses);
+  }
 };
 Tally &tally();
 
@@ -93,20 +116,15 @@ struct SpanRecord {
   /// Start, seconds since the start() epoch.
   double StartSec = 0;
   double DurSec = 0;
-  /// Tally deltas over the span's lifetime (inclusive of children).
-  uint64_t Conflicts = 0;
-  uint64_t Decisions = 0;
-  uint64_t Propagations = 0;
-  uint64_t Rewrites = 0;
-  uint64_t SatChecks = 0;
+  /// Span::effort() at close.
+  Tally Effort;
 };
 
-/// RAII span. Construction is one relaxed load when profiling is disabled;
-/// the detail string is only copied when enabled.
+/// RAII span. The detail string is only copied when profiling is enabled.
 class Span {
 public:
-  explicit Span(const char *Name) : Span(Name, std::string_view()) {}
-  Span(const char *Name, std::string_view Detail);
+  explicit Span(const char *Name, std::string_view Detail = {},
+                stats::Sampler Time = {});
   ~Span();
 
   Span(const Span &) = delete;
@@ -115,13 +133,22 @@ public:
   /// This span's id, 0 when profiling was disabled at construction.
   uint64_t id() const { return SpanId; }
 
+  /// Wall seconds since the span opened.
+  double seconds() const { return Clock.seconds(); }
+
+  /// This thread's effort since the span opened, children included;
+  /// Clauses is the peak over the span's SAT checks so far.
+  Tally effort() const;
+
 private:
-  bool On;
   uint64_t SpanId = 0;
   uint64_t ParentId = 0;
   const char *Name = "";
   std::string Detail;
+  stats::Sampler Time;
   double Start = 0;
+  Stopwatch Clock;
+  /// The tally at open; its Clauses is the enclosing peak to fold back.
   Tally At0;
 };
 
@@ -178,8 +205,6 @@ struct PhaseAgg {
   /// parallel batch span can sum past their parent's wall time).
   double SelfSec = 0;
   uint64_t Conflicts = 0;
-  uint64_t Decisions = 0;
-  uint64_t Propagations = 0;
 };
 std::vector<PhaseAgg> aggregate();
 

@@ -11,7 +11,8 @@
 ///  * counters  - monotone event counts ("sat.conflicts"), relaxed-atomic
 ///    so hot paths may bump them from any thread without coordination;
 ///  * samples   - value distributions summarized as count/sum/min/max
-///    ("time.verify" wall seconds per pair, recorded by ScopedTimer).
+///    ("time.verify" wall seconds per pair, recorded by the verify_pair
+///    prof::Span).
 ///
 /// Handles returned by counter() stay valid forever: reset() zeroes the
 /// values between verifications but never invalidates a slot, so
@@ -23,8 +24,6 @@
 
 #ifndef ALIVE2RE_SUPPORT_STATS_H
 #define ALIVE2RE_SUPPORT_STATS_H
-
-#include "support/Diag.h"
 
 #include <atomic>
 #include <cstdint>
@@ -136,29 +135,6 @@ inline void addSample(const std::string &Name, double Value) {
 inline Sampler sampler(const std::string &Name) {
   return Registry::get().sampler(Name);
 }
-
-/// RAII wall-clock timer: records the enclosing scope's duration (seconds)
-/// as one sample of a distribution. Prefer the Sampler overload with a
-/// cached ALIVE_STAT_SAMPLER handle — it records without any name lookup,
-/// the documented fast path. The name overload resolves the handle once at
-/// construction (the destructor never pays a map lookup under the registry
-/// mutex).
-class ScopedTimer {
-public:
-  explicit ScopedTimer(Sampler Dist) : Dist(Dist) {}
-  explicit ScopedTimer(const char *Name)
-      : Dist(Registry::get().sampler(Name)) {}
-  ~ScopedTimer() { Dist.record(Watch.seconds()); }
-
-  ScopedTimer(const ScopedTimer &) = delete;
-  ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-  double seconds() const { return Watch.seconds(); }
-
-private:
-  Sampler Dist;
-  Stopwatch Watch;
-};
 
 } // namespace alive::stats
 

@@ -180,3 +180,9 @@ Event &Event::flag(const char *Key, bool Value) {
   Buf += Value ? "true" : "false";
   return *this;
 }
+
+Event &Event::effort(const prof::Tally &T) {
+  if (On)
+    T.forEach([this](const char *Key, auto Value) { num(Key, Value); });
+  return *this;
+}

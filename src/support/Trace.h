@@ -23,7 +23,7 @@
 /// Usage at an instrumented site:
 ///
 ///   if (trace::enabled())
-///     trace::Event("sat_check").str("result", R).num("conflicts", C);
+///     trace::Event("sat_check").str("result", R).effort(Span.effort());
 ///
 /// The event is emitted (atomically, one line) when the temporary dies.
 ///
@@ -37,6 +37,10 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+
+namespace alive::prof {
+struct Tally;
+} // namespace alive::prof
 
 namespace alive::trace {
 
@@ -73,6 +77,8 @@ public:
   Event &str(const char *Key, std::string_view Value);
   Event &num(const char *Key, double Value);
   Event &flag(const char *Key, bool Value);
+  /// Adds every effort key of \p T (prof::Tally::forEach).
+  Event &effort(const prof::Tally &T);
 
   template <typename T,
             std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>,

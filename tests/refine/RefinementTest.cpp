@@ -14,6 +14,7 @@
 
 #include "gtest/gtest.h"
 
+#include <cstdlib>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -479,6 +480,65 @@ entry:
   EXPECT_TRUE(SawEncode);
   EXPECT_TRUE(SawSatCheck);
   EXPECT_TRUE(SawVerdict);
+}
+
+TEST(Refine, QueryEventsMatchQueryStats) {
+  // The "query" event and the QueryStats record are read from the same
+  // staged_query span; the undef pair takes 16 CEGIS rounds in one query.
+  const char *Src = R"(
+define i4 @f(i4 %a) {
+entry:
+  %x = mul i4 undef, 3
+  %y = add i4 %x, %a
+  ret i4 %y
+}
+)";
+  const char *Tgt = R"(
+define i4 @f(i4 %a) {
+entry:
+  ret i4 undef
+}
+)";
+  Options O;
+  O.Cache = CachePolicy::disabled();
+  std::ostringstream Sink;
+  trace::setStream(&Sink);
+  Verdict V = check(Src, Tgt, O);
+  trace::setStream(nullptr);
+  EXPECT_CORRECT(V);
+
+  auto field = [](const std::string &Line, const char *Key) {
+    std::string Pat = std::string("\"") + Key + "\":";
+    size_t At = Line.find(Pat);
+    EXPECT_NE(At, std::string::npos) << Key << " missing in " << Line;
+    return At == std::string::npos
+               ? -1.0
+               : std::strtod(Line.c_str() + At + Pat.size(), nullptr);
+  };
+  std::vector<std::string> Events;
+  std::istringstream In(Sink.str());
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.rfind("{\"event\":\"query\",", 0) == 0)
+      Events.push_back(Line);
+  ASSERT_EQ(Events.size(), V.Queries.size());
+  bool SawRounds = false;
+  for (size_t I = 0; I < Events.size(); ++I) {
+    const std::string &E = Events[I];
+    const QueryStats &Q = V.Queries[I];
+    SCOPED_TRACE(Q.Check);
+    SawRounds |= Q.EFIterations > 1;
+    EXPECT_EQ(field(E, "ef_iterations"), (double)Q.EFIterations);
+    EXPECT_EQ(field(E, "sat_checks"), (double)Q.SatChecks);
+    EXPECT_EQ(field(E, "conflicts"), (double)Q.Conflicts);
+    EXPECT_EQ(field(E, "decisions"), (double)Q.Decisions);
+    EXPECT_EQ(field(E, "propagations"), (double)Q.Propagations);
+    EXPECT_EQ(field(E, "clauses"), (double)Q.Clauses);
+    // Printed with nine significant digits.
+    EXPECT_NEAR(field(E, "solver_seconds"), Q.SolverSeconds,
+                1e-8 * Q.SolverSeconds);
+    EXPECT_NEAR(field(E, "seconds"), Q.Seconds, 1e-8 * Q.Seconds);
+  }
+  EXPECT_TRUE(SawRounds);
 }
 
 TEST(Refine, StagedQueryEffortIsPinned) {

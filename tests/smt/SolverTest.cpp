@@ -10,6 +10,7 @@
 
 #include "smt/Solver.h"
 #include "support/Diag.h"
+#include "support/Profile.h"
 
 #include "gtest/gtest.h"
 
@@ -132,10 +133,11 @@ TEST(Solver, LiteralBudgetStopsBitBlasting) {
   Expr X = mkFreshVar("x", 32), Y = mkFreshVar("y", 32);
   SolverBudget B;
   B.MaxLiterals = 100;
+  prof::Span Check("check");
   SolveOutcome R = checkSat(mkEq(mkMul(X, Y), mkBV(32, 12345)), B);
   ASSERT_TRUE(R.isUnknown());
   EXPECT_EQ(R.UnknownReason, support::Reason::Memory);
-  EXPECT_EQ(R.Stats.Checks, 0u);
+  EXPECT_EQ(Check.effort().SatChecks, 0u);
 }
 
 TEST(Solver, BitBlastedSearchEffortIsPinned) {
@@ -152,7 +154,7 @@ TEST(Solver, BitBlastedSearchEffortIsPinned) {
   EXPECT_EQ(S.numConflicts(), 6719u);
   EXPECT_EQ(S.numDecisions(), 8570u);
   EXPECT_EQ(S.numPropagations(), 432718u);
-  EXPECT_EQ(R.Stats.Clauses, 5442u);
+  EXPECT_EQ(S.numClauses(), 5442u);
 }
 
 TEST(Solver, CheckIsRepeatable) {

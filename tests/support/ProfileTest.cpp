@@ -13,6 +13,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -116,14 +117,57 @@ TEST(Profile, TallyDeltasAttributeToTheOpenSpan) {
   const prof::SpanRecord *Outer = find(Rs, "outer");
   const prof::SpanRecord *Inner = find(Rs, "inner");
   ASSERT_TRUE(Outer && Inner);
-  EXPECT_EQ(Inner->Conflicts, 7u);
-  EXPECT_EQ(Inner->Rewrites, 2u);
-  EXPECT_EQ(Inner->SatChecks, 1u);
-  EXPECT_EQ(Inner->Decisions, 0u);
+  EXPECT_EQ(Inner->Effort.Conflicts, 7u);
+  EXPECT_EQ(Inner->Effort.Rewrites, 2u);
+  EXPECT_EQ(Inner->Effort.SatChecks, 1u);
+  EXPECT_EQ(Inner->Effort.Decisions, 0u);
   // Deltas are inclusive of children.
-  EXPECT_EQ(Outer->Conflicts, 10u);
-  EXPECT_EQ(Outer->Decisions, 5u);
-  EXPECT_EQ(Outer->SatChecks, 1u);
+  EXPECT_EQ(Outer->Effort.Conflicts, 10u);
+  EXPECT_EQ(Outer->Effort.Decisions, 5u);
+  EXPECT_EQ(Outer->Effort.SatChecks, 1u);
+}
+
+TEST(Profile, DisabledSpanMeasuresAndRecordsItsSampler) {
+  ASSERT_FALSE(prof::enabled());
+  stats::Registry::get().reset();
+  {
+    prof::Span S("measured", {}, stats::sampler("test.span_time"));
+    prof::tally().Conflicts += 3;
+    prof::tally().SolverSeconds += 0.5;
+    EXPECT_EQ(S.id(), 0u);
+    EXPECT_GE(S.seconds(), 0.0);
+    EXPECT_EQ(S.effort().Conflicts, 3u);
+    EXPECT_EQ(S.effort().SolverSeconds, 0.5);
+  }
+  EXPECT_TRUE(prof::snapshot().empty());
+  stats::DistSummary D =
+      stats::Registry::get().snapshot().dist("test.span_time");
+  EXPECT_EQ(D.Count, 1u);
+  EXPECT_GE(D.Sum, 0.0);
+}
+
+TEST(Profile, PeakClausesArePerSpan) {
+  auto check = [](uint64_t Clauses) {
+    prof::Span S("check");
+    prof::tally().Clauses = std::max(prof::tally().Clauses, Clauses);
+    return S.effort().Clauses;
+  };
+  prof::Span Outer("outer");
+  EXPECT_EQ(Outer.effort().Clauses, 0u);
+  {
+    prof::Span First("first");
+    EXPECT_EQ(check(40), 40u);
+    EXPECT_EQ(check(25), 25u); // a sibling's peak does not leak in
+    EXPECT_EQ(First.effort().Clauses, 40u);
+  }
+  {
+    prof::Span Second("second");
+    EXPECT_EQ(Second.effort().Clauses, 0u);
+    EXPECT_EQ(check(10), 10u);
+    EXPECT_EQ(Second.effort().Clauses, 10u);
+  }
+  // Each child's peak folds into its parent.
+  EXPECT_EQ(Outer.effort().Clauses, 40u);
 }
 
 TEST(Profile, CaptureAdoptCrossesThreads) {

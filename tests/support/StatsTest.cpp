@@ -86,17 +86,6 @@ TEST(Stats, ResetZeroesButKeepsHandles) {
   EXPECT_EQ(counter("test.reset_handle").value(), 2u);
 }
 
-TEST(Stats, ScopedTimerRecordsOneSample) {
-  Registry::get().reset();
-  {
-    ScopedTimer T("test.timer");
-    EXPECT_GE(T.seconds(), 0.0);
-  }
-  DistSummary D = Registry::get().snapshot().dist("test.timer");
-  EXPECT_EQ(D.Count, 1u);
-  EXPECT_GE(D.Sum, 0.0);
-}
-
 TEST(Stats, TableListsEntries) {
   Counter C = counter("test.table_entry");
   C.inc(5);

@@ -9,7 +9,9 @@
 /// verdict against its expectation.
 ///
 ///   alive-corpus [--unroll N] [--timeout SEC] [--generated N]
-///                [--cache-dir DIR] [--no-query-cache]
+///                [--cache-dir DIR] [--no-query-cache] [--stats]
+///                [--trace-out FILE] [--profile] [--profile-out FILE]
+///                [--slow-query-ms N]
 ///
 /// Exit status is the CI gate: 0 only when every pair lands on its
 /// expected side — a mismatch OR an inconclusive verdict (timeout, OOM,
@@ -50,13 +52,12 @@ int main(int argc, char **argv) {
       std::fprintf(stderr,
                    "unknown argument '%s'\nusage: alive-corpus "
                    "[--generated N]\n%s",
-                   argv[I],
-                   refine::cli::optionsUsage(/*IncludeJobs=*/false).c_str());
+                   argv[I], Shared.usage().c_str());
       return 2;
     }
   }
 
-  if (!Shared.validate())
+  if (!Shared.validate() || !Shared.openSinks())
     return 2;
 
   std::vector<corpus::TestPair> Suite = corpus::unitTestSuite();
@@ -108,5 +109,7 @@ int main(int argc, char **argv) {
   if (std::string CacheErr; !Validator.flushCache(&CacheErr))
     std::fprintf(stderr, "warning: cannot write cache: %s\n",
                  CacheErr.c_str());
+  if (!Shared.closeSinks(stderr))
+    return 2;
   return (Disagree || Inconclusive) ? 1 : 0;
 }

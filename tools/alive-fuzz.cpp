@@ -16,6 +16,7 @@
 ///              [--buggy PASS | --pipeline a,b,c] [--artifacts DIR]
 ///              [--no-reduce] [--max-candidates N] [shared refine flags]
 ///              [--stats] [--trace-out FILE] [--profile] [--profile-out F]
+///              [--slow-query-ms N]
 ///   alive-fuzz --repro DIR        replay one saved failure
 ///
 /// Exit codes: 0 = no oracle failures (or --repro reproduced), 1 = failures
@@ -35,6 +36,8 @@
 #include "support/Stats.h"
 #include "support/Trace.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -46,7 +49,7 @@ using namespace alive;
 
 namespace {
 
-void usage() {
+void usage(const refine::cli::OptionsParser &Shared) {
   std::fprintf(
       stderr,
       "usage: alive-fuzz [--seed N] [--runs N] [--mutations N] "
@@ -54,6 +57,7 @@ void usage() {
       "                  [--buggy PASS | --pipeline a,b,c] [--artifacts DIR]\n"
       "                  [--no-reduce] [--max-candidates N] [--stats]\n"
       "                  [--trace-out FILE] [--profile] [--profile-out FILE]\n"
+      "                  [--slow-query-ms N]\n"
       "       alive-fuzz --repro DIR\n"
       "%s"
       "  --seed N          master seed (default 1)\n"
@@ -68,7 +72,7 @@ void usage() {
       "  --no-reduce       keep failing inputs unreduced\n"
       "  --max-candidates N  reducer candidate budget (default 192)\n"
       "  --repro DIR       replay the failure saved in DIR and exit\n",
-      refine::cli::optionsUsage(/*IncludeJobs=*/true).c_str());
+      Shared.usage().c_str());
 }
 
 bool readFile(const std::filesystem::path &Path, std::string &Out) {
@@ -269,10 +273,9 @@ int main(int argc, char **argv) {
   uint64_t Seed = 1;
   unsigned Runs = 16, Mutations = 3, ParserRuns = 0, MaxCandidates = 192;
   unsigned Jobs = 2;
-  bool NoReduce = false, ShowStats = false, ShowProfile = false;
+  bool NoReduce = false;
   const char *ArtifactsDir = "fuzz-artifacts";
   const char *ReproDir = nullptr;
-  const char *TraceOut = nullptr, *ProfileOut = nullptr;
   std::string Buggy;
   std::vector<std::string> Pipeline;
 
@@ -298,8 +301,10 @@ int main(int argc, char **argv) {
       if (!V)
         return 2;
       char *End = nullptr;
+      errno = 0;
       Seed = std::strtoull(V, &End, 0);
-      if (!End || *End) {
+      // strtoull reads "" as 0 and wraps "-1" to 2^64 - 1.
+      if (!std::isdigit((unsigned char)*V) || *End || errno == ERANGE) {
         std::fprintf(stderr, "error: --seed expects an integer, got '%s'\n",
                      V);
         return 2;
@@ -347,23 +352,9 @@ int main(int argc, char **argv) {
       ReproDir = V;
     } else if (!std::strcmp(argv[I], "--no-reduce")) {
       NoReduce = true;
-    } else if (!std::strcmp(argv[I], "--stats")) {
-      ShowStats = true;
-    } else if (!std::strcmp(argv[I], "--profile")) {
-      ShowProfile = true;
-    } else if (!std::strcmp(argv[I], "--trace-out")) {
-      const char *V = NeedValue();
-      if (!V)
-        return 2;
-      TraceOut = V;
-    } else if (!std::strcmp(argv[I], "--profile-out")) {
-      const char *V = NeedValue();
-      if (!V)
-        return 2;
-      ProfileOut = V;
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", argv[I]);
-      usage();
+      usage(Shared);
       return 2;
     }
   }
@@ -374,17 +365,12 @@ int main(int argc, char **argv) {
     return 2;
   }
 
-  if (TraceOut && !trace::openFile(TraceOut)) {
-    std::fprintf(stderr, "error: cannot open trace file '%s'\n", TraceOut);
+  if (!Shared.openSinks())
     return 2;
-  }
-  if (ShowProfile || ProfileOut)
-    prof::start();
 
   if (ReproDir) {
     int RC = runRepro(ReproDir, Opts, Jobs);
-    trace::close();
-    return RC;
+    return Shared.closeSinks(stderr) ? RC : 2;
   }
 
   fuzz::Oracle::Config C;
@@ -553,16 +539,7 @@ int main(int argc, char **argv) {
   std::printf("alive-fuzz: %u run(s), %u failure(s)\n", Runs + ParserRuns,
               TotalFailures);
 
-  if (ShowStats)
-    std::fputs(stats::Registry::get().table().c_str(), stderr);
-  if (ShowProfile)
-    std::fputs(prof::table().c_str(), stderr);
-  if (ProfileOut && !prof::writeChromeTrace(ProfileOut)) {
-    std::fprintf(stderr, "error: cannot write profile file '%s'\n",
-                 ProfileOut);
-    trace::close();
+  if (!Shared.closeSinks(stderr))
     return 2;
-  }
-  trace::close();
   return TotalFailures ? 1 : 0;
 }

@@ -9,7 +9,8 @@
 ///
 ///   alive-opt in.ll --passes=instcombine,dce [--tv] [--batch]
 ///             [--unroll N] [--timeout SEC] [--cache-dir DIR]
-///             [--no-query-cache]
+///             [--no-query-cache] [--stats] [--trace-out FILE]
+///             [--profile] [--profile-out FILE] [--slow-query-ms N]
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,11 +27,11 @@
 
 using namespace alive;
 
-static void usage() {
+static void usage(const refine::cli::OptionsParser &Shared) {
   std::fprintf(stderr,
                "usage: alive-opt <in.ll> [--passes=a,b] [--tv] [--batch] "
                "[--no-print]\n%s",
-               refine::cli::optionsUsage(/*IncludeJobs=*/false).c_str());
+               Shared.usage().c_str());
 }
 
 int main(int argc, char **argv) {
@@ -67,7 +68,7 @@ int main(int argc, char **argv) {
       PrintResult = false;
     } else if (argv[I][0] == '-' && argv[I][1] != '\0') {
       std::fprintf(stderr, "unknown option '%s'\n", argv[I]);
-      usage();
+      usage(Shared);
       return 2;
     } else if (!InPath) {
       InPath = argv[I];
@@ -77,10 +78,10 @@ int main(int argc, char **argv) {
     }
   }
   if (!InPath) {
-    usage();
+    usage(Shared);
     return 2;
   }
-  if (!Shared.validate())
+  if (!Shared.validate() || !Shared.openSinks())
     return 2;
   std::ifstream In(InPath);
   if (!In) {
@@ -120,5 +121,7 @@ int main(int argc, char **argv) {
                  CacheErr.c_str());
   if (PrintResult)
     std::printf("%s", ir::printModule(*M).c_str());
+  if (!Shared.closeSinks(stderr))
+    return 2;
   return Failures ? 1 : 0;
 }

@@ -18,7 +18,6 @@
 #include "ir/Parser.h"
 #include "refine/CLI.h"
 #include "refine/Validator.h"
-#include "support/Profile.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
 
@@ -39,7 +38,7 @@ static bool readFile(const char *Path, std::string &Out) {
   return true;
 }
 
-static void usage() {
+static void usage(const refine::cli::OptionsParser &Shared) {
   std::fprintf(stderr,
                "usage: alive-tv <src.ll> <tgt.ll> [-j N] [--unroll N] "
                "[--timeout SEC] [--equivalence]\n"
@@ -48,18 +47,9 @@ static void usage() {
                "                [--profile] [--profile-out FILE] "
                "[--slow-query-ms N]\n"
                "%s"
-               "  --stats          print the statistics registry after "
-               "verification\n"
                "  --json           emit a machine-readable per-pair summary "
-               "on stdout\n"
-               "  --trace-out FILE stream JSONL pipeline events to FILE\n"
-               "  --profile        print the per-phase profile table after "
-               "verification\n"
-               "  --profile-out FILE  write a Chrome trace-event profile "
-               "(Perfetto / chrome://tracing)\n"
-               "  --slow-query-ms N   log path + cost of staged queries "
-               "slower than N ms to stderr\n",
-               refine::cli::optionsUsage(/*IncludeJobs=*/true).c_str());
+               "on stdout\n",
+               Shared.usage().c_str());
 }
 
 /// Renders one verdict's JSON object (without trailing newline/comma).
@@ -119,9 +109,7 @@ static void printStatsJson() {
 
 int main(int argc, char **argv) {
   const char *SrcPath = nullptr, *TgtPath = nullptr;
-  const char *TraceOut = nullptr, *ProfileOut = nullptr;
-  bool ShowStats = false, Json = false, ShowProfile = false;
-  double SlowQueryMs = -1;
+  bool Json = false;
   unsigned Jobs = 1;
   refine::Options Opts;
   refine::cli::OptionsParser Shared(Opts, &Jobs);
@@ -134,34 +122,11 @@ int main(int argc, char **argv) {
     case refine::cli::Parsed::NotMine:
       break;
     }
-    if (!std::strcmp(argv[I], "--stats")) {
-      ShowStats = true;
-    } else if (!std::strcmp(argv[I], "--json")) {
+    if (!std::strcmp(argv[I], "--json")) {
       Json = true;
-    } else if (!std::strcmp(argv[I], "--trace-out") && I + 1 < argc) {
-      TraceOut = argv[++I];
-    } else if (!std::strcmp(argv[I], "--profile")) {
-      ShowProfile = true;
-    } else if (!std::strcmp(argv[I], "--profile-out") && I + 1 < argc) {
-      ProfileOut = argv[++I];
-    } else if (!std::strcmp(argv[I], "--slow-query-ms") && I + 1 < argc) {
-      const char *Arg = argv[++I];
-      if (!refine::cli::parseDouble(Arg, SlowQueryMs) || SlowQueryMs < 0) {
-        std::fprintf(
-            stderr,
-            "error: --slow-query-ms expects a non-negative number, got "
-            "'%s'\n",
-            Arg);
-        return 2;
-      }
-    } else if (!std::strcmp(argv[I], "--trace-out") ||
-               !std::strcmp(argv[I], "--profile-out") ||
-               !std::strcmp(argv[I], "--slow-query-ms")) {
-      std::fprintf(stderr, "error: %s requires a value\n", argv[I]);
-      return 2;
     } else if (argv[I][0] == '-' && argv[I][1] != '\0') {
       std::fprintf(stderr, "unknown option '%s'\n", argv[I]);
-      usage();
+      usage(Shared);
       return 2;
     } else if (!SrcPath) {
       SrcPath = argv[I];
@@ -169,28 +134,16 @@ int main(int argc, char **argv) {
       TgtPath = argv[I];
     } else {
       std::fprintf(stderr, "unexpected argument '%s'\n", argv[I]);
-      usage();
+      usage(Shared);
       return 2;
     }
   }
   if (!SrcPath || !TgtPath) {
-    usage();
+    usage(Shared);
     return 2;
   }
-  if (!Shared.validate())
+  if (!Shared.validate() || !Shared.openSinks())
     return 2;
-
-  if (TraceOut && !trace::openFile(TraceOut)) {
-    std::fprintf(stderr, "error: cannot open trace file '%s'\n", TraceOut);
-    return 2;
-  }
-  // Any profiling consumer turns span collection on (before parsing, so
-  // the parse span is part of the profile too).
-  if (ShowProfile || ProfileOut || SlowQueryMs >= 0) {
-    if (SlowQueryMs >= 0)
-      prof::setSlowQueryMs(SlowQueryMs);
-    prof::start();
-  }
 
   std::string SrcText, TgtText;
   if (!readFile(SrcPath, SrcText) || !readFile(TgtPath, TgtText)) {
@@ -279,21 +232,8 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (ShowStats) {
-    // With --json active, stdout must stay a single valid JSON document.
-    std::string Table = stats::Registry::get().table();
-    std::fputs(Table.c_str(), Json ? stderr : stdout);
-  }
-  if (ShowProfile) {
-    std::string Table = prof::table();
-    std::fputs(Table.c_str(), Json ? stderr : stdout);
-  }
-  if (ProfileOut && !prof::writeChromeTrace(ProfileOut)) {
-    std::fprintf(stderr, "error: cannot write profile file '%s'\n",
-                 ProfileOut);
-    trace::close();
+  // With --json active, stdout must stay a single valid JSON document.
+  if (!Shared.closeSinks(Json ? stderr : stdout))
     return 2;
-  }
-  trace::close();
   return Failures ? 1 : 0;
 }

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Validate alive2re observability artifacts (stdlib only).
 
-Two artifact kinds, both produced by alive-tv:
+Two artifact kinds, both produced by every alive-* tool:
 
   --jsonl FILE   a JSONL pipeline trace (--trace-out): every line must be a
                  flat JSON object carrying the mandatory "event", "t" and
                  "tid" fields (and "span" since the profiling subsystem);
-                 values must be scalars (nesting is unsupported by design).
+                 values must be scalars (nesting is unsupported by design),
+                 and "sat_check" / "ef_query" / "query" events must carry
+                 every effort key as a non-negative number.
 
   --chrome FILE  a Chrome trace-event profile (--profile-out): the document
                  must hold a "traceEvents" list whose entries carry the
@@ -36,15 +38,29 @@ KNOWN_REASONS = {
 }
 
 
+# prof::Tally's effort keys (support/Profile.h); every "sat_check",
+# "ef_query" and "query" event carries each as a non-negative number.
+EFFORT_KEYS = ("solver_seconds", "sat_checks", "conflicts", "decisions",
+               "propagations", "restarts", "rewrites", "clauses")
+EFFORT_EVENTS = {"sat_check", "ef_query", "query"}
+
+
 def fail(errors, msg):
     errors.append(msg)
     print(f"check_trace: {msg}", file=sys.stderr)
 
 
 def check_event_fields(path, lineno, obj, errors):
-    """Schema checks for event kinds with governance fields."""
+    """Schema checks for event kinds with effort or governance fields."""
     kind = obj.get("event")
     where = f"{path}:{lineno}"
+    if kind in EFFORT_EVENTS:
+        for key in EFFORT_KEYS:
+            value = obj.get(key)
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or value < 0):
+                fail(errors, f"{where}: {kind} event needs non-negative "
+                     f"numeric '{key}'")
     if kind == "verdict":
         if "reason" not in obj or "rung" not in obj:
             fail(errors, f"{where}: verdict event missing 'reason'/'rung'")
