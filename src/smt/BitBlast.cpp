@@ -37,6 +37,41 @@ void BitBlaster::clause(std::initializer_list<Lit> Lits) {
 // Gates
 //===----------------------------------------------------------------------===//
 
+BitBlaster::Gate &BitBlaster::gateSlot(Lit A, Lit B, Lit C) {
+  // splitmix64's finalizer over the three inputs.
+  uint64_t H = (uint64_t)(uint32_t)A << 32 | (uint32_t)B;
+  H ^= (uint64_t)(uint32_t)C * 0x9e3779b97f4a7c15ull;
+  H = (H ^ (H >> 30)) * 0xbf58476d1ce4e5b9ull;
+  H = (H ^ (H >> 27)) * 0x94d049bb133111ebull;
+  H ^= H >> 31;
+  size_t Mask = Gates.size() - 1;
+  for (size_t I = H & Mask;; I = (I + 1) & Mask) {
+    Gate &G = Gates[I];
+    if (G.Out < 0 || (G.In[0] == A && G.In[1] == B && G.In[2] == C))
+      return G;
+  }
+}
+
+std::pair<Lit, bool> BitBlaster::findOrAddGate(Lit A, Lit B, Lit C) {
+  if (Gates.empty())
+    Gates.resize(FirstGateSlots);
+  Gate *G = &gateSlot(A, B, C);
+  if (G->Out >= 0) {
+    ++GateHits;
+    return {G->Out, true};
+  }
+  if (2 * ++NumGates > Gates.size()) {
+    std::vector<Gate> Old(2 * Gates.size());
+    Old.swap(Gates);
+    for (const Gate &E : Old)
+      if (E.Out >= 0)
+        gateSlot(E.In[0], E.In[1], E.In[2]) = E;
+    G = &gateSlot(A, B, C);
+  }
+  *G = {{A, B, C}, fresh()};
+  return {G->Out, false};
+}
+
 Lit BitBlaster::gateAnd(Lit A, Lit B) {
   if (A == TrueLit)
     return B;
@@ -48,10 +83,15 @@ Lit BitBlaster::gateAnd(Lit A, Lit B) {
     return A;
   if (A == negLit(B))
     return falseLit();
-  Lit R = fresh();
-  clause({negLit(R), A});
-  clause({negLit(R), B});
-  clause({R, negLit(A), negLit(B)});
+  // Canonical form: sorted inputs.
+  if (A > B)
+    std::swap(A, B);
+  auto [R, Existed] = findOrAddGate(A, B, AndTag);
+  if (!Existed) {
+    clause({negLit(R), A});
+    clause({negLit(R), B});
+    clause({R, negLit(A), negLit(B)});
+  }
   return R;
 }
 
@@ -72,12 +112,20 @@ Lit BitBlaster::gateXor(Lit A, Lit B) {
     return falseLit();
   if (A == negLit(B))
     return TrueLit;
-  Lit R = fresh();
-  clause({negLit(R), A, B});
-  clause({negLit(R), negLit(A), negLit(B)});
-  clause({R, negLit(A), B});
-  clause({R, A, negLit(B)});
-  return R;
+  // Canonical form: positive sorted inputs, the parity on the output.
+  bool Odd = litSign(A) != litSign(B);
+  A = mkLit(litVar(A));
+  B = mkLit(litVar(B));
+  if (A > B)
+    std::swap(A, B);
+  auto [R, Existed] = findOrAddGate(A, B, XorTag);
+  if (!Existed) {
+    clause({negLit(R), A, B});
+    clause({negLit(R), negLit(A), negLit(B)});
+    clause({R, negLit(A), B});
+    clause({R, A, negLit(B)});
+  }
+  return Odd ? negLit(R) : R;
 }
 
 Lit BitBlaster::gateIte(Lit C, Lit T, Lit F) {
@@ -87,15 +135,30 @@ Lit BitBlaster::gateIte(Lit C, Lit T, Lit F) {
     return F;
   if (T == F)
     return T;
-  if (T == TrueLit && F == falseLit())
-    return C;
-  if (T == falseLit() && F == TrueLit)
-    return negLit(C);
-  Lit R = fresh();
-  clause({negLit(C), negLit(T), R});
-  clause({negLit(C), T, negLit(R)});
-  clause({C, negLit(F), R});
-  clause({C, F, negLit(R)});
+  // Canonical form: a positive condition.
+  if (litSign(C)) {
+    C = negLit(C);
+    std::swap(T, F);
+  }
+  // A constant arm, an arm tied to the condition or complementary arms make
+  // the gate an OR, AND or XNOR, and it is hashed as that gate.
+  if (T == TrueLit || T == C)
+    return gateOr(C, F);
+  if (T == falseLit() || T == negLit(C))
+    return gateAnd(negLit(C), F);
+  if (F == TrueLit || F == negLit(C))
+    return gateOr(negLit(C), T);
+  if (F == falseLit() || F == C)
+    return gateAnd(C, T);
+  if (T == negLit(F))
+    return gateEq(C, T);
+  auto [R, Existed] = findOrAddGate(C, T, F);
+  if (!Existed) {
+    clause({negLit(C), negLit(T), R});
+    clause({negLit(C), T, negLit(R)});
+    clause({C, negLit(F), R});
+    clause({C, F, negLit(R)});
+  }
   return R;
 }
 
@@ -152,6 +215,7 @@ void BitBlaster::divider(const std::vector<Lit> &A, const std::vector<Lit> &B,
   std::vector<Lit> R(W + 1, falseLit());
   std::vector<Lit> BExt(B);
   BExt.push_back(falseLit());
+  std::vector<Lit> NegBExt = negate(BExt);
   Quot.assign(W, falseLit());
   for (size_t Step = W; Step-- > 0;) {
     // R = (R << 1) | A[Step]
@@ -161,7 +225,7 @@ void BitBlaster::divider(const std::vector<Lit> &A, const std::vector<Lit> &B,
     // Geq = R >= BExt  <=>  !(R < BExt)
     Lit Geq = negLit(comparatorUlt(R, BExt));
     // R = Geq ? R - BExt : R
-    std::vector<Lit> Diff = adder(R, negate(BExt), falseLit());
+    std::vector<Lit> Diff = adder(R, NegBExt, falseLit());
     R = mux(Geq, Diff, R);
     Quot[Step] = Geq;
   }

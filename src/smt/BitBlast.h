@@ -8,8 +8,10 @@
 /// Lowers the bit-vector expression DAG to CNF over the CDCL solver:
 /// ripple-carry adders, shift-add multipliers, restoring dividers, barrel
 /// shifters and comparator chains, with per-node memoization so shared
-/// subterms are blasted once. Uninterpreted applications must have been
-/// eliminated (Ackermannized) by the Solver facade before blasting.
+/// subterms are blasted once, and structural hashing so equal gates are
+/// built once even when they come from different subterms. Uninterpreted
+/// applications must have been eliminated (Ackermannized) by the Solver
+/// facade before blasting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,8 @@
 
 #include <initializer_list>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace alive::smt {
 
@@ -50,6 +54,7 @@ public:
   /// CNF-size telemetry (cumulative since construction; the Solver facade
   /// flushes deltas into the stats registry per check).
   uint64_t numCacheHits() const { return CacheHits; }
+  uint64_t numGateHits() const { return GateHits; }
   uint64_t numFreshVars() const { return FreshVars; }
   uint64_t numClausesEmitted() const { return ClausesEmitted; }
 
@@ -62,11 +67,35 @@ private:
   bool OverBudget = false;
   size_t LiteralBudget = ~size_t(0);
   size_t EmittedLiterals = 0;
-  uint64_t CacheHits = 0, FreshVars = 0, ClausesEmitted = 0;
+  uint64_t CacheHits = 0, GateHits = 0, FreshVars = 0, ClausesEmitted = 0;
+
+  /// The gate table (structural hashing): every AND, XOR and ITE gate built
+  /// so far, keyed by its canonical inputs, in one flat open-addressing
+  /// table with linear probing. The capacity is a power of two and doubles
+  /// when an insertion would fill more than half of it. The first gate
+  /// allocates FirstGateSlots, enough for the 256 gates that most blasters
+  /// of the benchmark workloads stay under; a blaster that builds no gate
+  /// allocates nothing (DESIGN.md "Bit-blaster"). AND and XOR keys carry a
+  /// negative tag in place of a third input.
+  struct Gate {
+    Lit In[3] = {0, 0, 0};
+    Lit Out = -1; // -1: an empty slot
+  };
+  static constexpr Lit AndTag = -1, XorTag = -2;
+  static constexpr size_t FirstGateSlots = 512;
+  std::vector<Gate> Gates;
+  size_t NumGates = 0;
 
   Lit falseLit() const { return negLit(TrueLit); }
   Lit fresh();
   void clause(std::initializer_list<Lit> Lits);
+  /// The slot of gate (\p A, \p B, \p C): its entry, or the empty slot
+  /// where it belongs.
+  Gate &gateSlot(Lit A, Lit B, Lit C);
+  /// Looks up the canonical gate (\p A, \p B, \p C). \returns its output and
+  /// true when it exists; otherwise enters it with a fresh output and
+  /// \returns that and false, and the caller emits the gate's clauses.
+  std::pair<Lit, bool> findOrAddGate(Lit A, Lit B, Lit C);
 
   Lit gateAnd(Lit A, Lit B);
   Lit gateOr(Lit A, Lit B);

@@ -482,6 +482,18 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
     return Limits.Cancel &&
            Limits.Cancel->load(std::memory_order_relaxed);
   };
+  // Polls the cancel flag and the clock, every 256 conflicts and every
+  // PropagationsPerPoll propagations; true, with the reason set, when the
+  // search must stop.
+  auto expired = [&] {
+    if (cancelled())
+      UnknownReason = Reason::Cancelled;
+    else if (ProfSpan.seconds() > Limits.TimeoutSec)
+      UnknownReason = Reason::Timeout;
+    else
+      return false;
+    return true;
+  };
   if (cancelled()) {
     UnknownReason = Reason::Cancelled;
     return SatStatus::Unknown;
@@ -502,6 +514,7 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
   uint64_t RestartBudget = 64 * lubySequence(RestartCount);
   uint64_t ConflictsAtStart = Conflicts;
   uint64_t NextReduce = 4000;
+  uint64_t NextPoll = Propagations + PropagationsPerPoll;
 
   while (true) {
     CRef Confl = propagate();
@@ -526,14 +539,8 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
       decayActivities();
 
       if ((Conflicts & 255) == 0) {
-        if (cancelled()) {
-          UnknownReason = Reason::Cancelled;
+        if (expired())
           return SatStatus::Unknown;
-        }
-        if (ProfSpan.seconds() > Limits.TimeoutSec) {
-          UnknownReason = Reason::Timeout;
-          return SatStatus::Unknown;
-        }
         if (TotalLiterals > Limits.MaxLiterals) {
           UnknownReason = Reason::Memory;
           return SatStatus::Unknown;
@@ -549,6 +556,14 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
         NextReduce = Conflicts + 4000 + 300 * RestartCount;
       }
       continue;
+    }
+    // Polled here, not inside a conflict: the trail is fully propagated.
+    // Every decision propagates at least its own literal, so this poll also
+    // bounds the decisions between two polls.
+    if (Propagations >= NextPoll) {
+      NextPoll = Propagations + PropagationsPerPoll;
+      if (expired())
+        return SatStatus::Unknown;
     }
 
     if (ConflictsThisRestart >= RestartBudget) {
@@ -579,18 +594,6 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
         return SatStatus::Sat;
     }
     ++Decisions;
-    // Conflict-gated polls can starve on propagation-heavy instances, so
-    // also poll the cancel flag and timeout on the decision path.
-    if ((Decisions & 4095) == 0) {
-      if (cancelled()) {
-        UnknownReason = Reason::Cancelled;
-        return SatStatus::Unknown;
-      }
-      if (ProfSpan.seconds() > Limits.TimeoutSec) {
-        UnknownReason = Reason::Timeout;
-        return SatStatus::Unknown;
-      }
-    }
     TrailLim.push_back((int)Trail.size());
     enqueue(mkLit(Next, !Phase[Next]), NoReason);
   }

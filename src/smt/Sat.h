@@ -89,6 +89,13 @@ public:
 
   SatStatus solve(const SatLimits &Limits = SatLimits());
 
+  /// solve() polls its time budget and cancel flag after the propagation
+  /// pass that crosses each multiple of this many propagations, besides
+  /// every 256 conflicts: a search with heavy propagation and few
+  /// conflicts still stops in time. A decision propagates at least its own
+  /// literal, so no more than this many decisions pass between two polls.
+  static constexpr uint64_t PropagationsPerPoll = uint64_t(1) << 12;
+
   /// Value of a variable in the satisfying assignment (only after Sat).
   bool modelValue(int Var) const;
 

@@ -102,14 +102,17 @@ void Solver::flushBlastStats() {
     stats::Counter Clauses = stats::counter("bitblast.clauses");
     stats::Counter Vars = stats::counter("bitblast.vars");
     stats::Counter Hits = stats::counter("bitblast.cache_hits");
+    stats::Counter GateHits = stats::counter("bitblast.gate_hits");
   };
   static Handles H;
   H.Clauses.inc(Blaster->numClausesEmitted() - SeenBlastClauses);
   H.Vars.inc(Blaster->numFreshVars() - SeenBlastVars);
   H.Hits.inc(Blaster->numCacheHits() - SeenBlastHits);
+  H.GateHits.inc(Blaster->numGateHits() - SeenGateHits);
   SeenBlastClauses = Blaster->numClausesEmitted();
   SeenBlastVars = Blaster->numFreshVars();
   SeenBlastHits = Blaster->numCacheHits();
+  SeenGateHits = Blaster->numGateHits();
 }
 
 SolveOutcome Solver::check(const SolverBudget &Budget) {

@@ -136,7 +136,8 @@ private:
   std::unique_ptr<BitBlaster> Blaster;
   bool TriviallyUnsat = false;
   /// Bit-blaster telemetry already flushed to the stats registry.
-  uint64_t SeenBlastClauses = 0, SeenBlastVars = 0, SeenBlastHits = 0;
+  uint64_t SeenBlastClauses = 0, SeenBlastVars = 0, SeenBlastHits = 0,
+           SeenGateHits = 0;
 
   void flushBlastStats();
 

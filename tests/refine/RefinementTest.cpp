@@ -617,15 +617,15 @@ exit:
 )";
   expectEffort(
       MemSrc, MemTgt,
-      {{"precondition", Sat, 1, 0, 2, 705, 2094, 4412},
-       {"target is more undefined than source", Unsat, 1, 1, 0, 0, 0, 23041},
-       {"target returns when source cannot", Unsat, 1, 1, 0, 0, 0, 12680},
+      {{"precondition", Sat, 1, 0, 2, 705, 2094, 4410},
+       {"target is more undefined than source", Unsat, 1, 1, 0, 0, 0, 22399},
+       {"target returns when source cannot", Unsat, 1, 1, 0, 0, 0, 12358},
        {"target is more poisonous than source (lane 0)", Unsat, 1, 1, 0, 0,
-        0, 12684},
+        0, 12362},
        {"target's return value is more specific (lane 0)", Unsat, 1, 1, 30,
-        2480, 8168, 29798},
-       {"target's memory is more specific", Unsat, 1, 1, 179, 64844, 346505,
-        39816}});
+        2480, 7497, 28678},
+       {"target's memory is more specific", Unsat, 1, 1, 10, 2269, 6187,
+        36935}});
 
   const char *UndefSrc = R"(
 define i4 @f(i4 %a) {
@@ -648,8 +648,8 @@ entry:
        {"target returns when source cannot", Unsat, 0, 1, 0, 0, 0, 0},
        {"target is more poisonous than source (lane 0)", Unsat, 0, 1, 0, 0, 0,
         0},
-       {"target's return value is more specific (lane 0)", Unsat, 31, 16, 139,
-        432, 18362, 1395},
+       {"target's return value is more specific (lane 0)", Unsat, 31, 16, 27,
+        363, 3903, 878},
        {"target's memory is more specific", Unsat, 0, 1, 0, 0, 0, 0}});
 }
 

@@ -186,11 +186,39 @@ TEST(BitBlast, UnsatAlgebraicLaw) {
 
 TEST(BitBlast, AddCommutes) {
   Expr X = mkFreshVar("x", 24), Y = mkFreshVar("y", 24);
-  // The simplifier canonicalizes x+y and y+x to the same node, so force the
-  // circuit path through distinct shapes: (x + y) - (y + x) != 0.
+  // The simplifier folds ~~y to y and sorts commutative operands, so both
+  // sides are one node and the query folds to false before blasting.
+  // GateIdenticalTermsShareGates below takes the circuit path.
   Expr L = mkAdd(X, Y);
-  Expr Rhs = mkAdd(mkBVNot(mkBVNot(Y)), X); // double-not blocks canonical merge
+  Expr Rhs = mkAdd(mkBVNot(mkBVNot(Y)), X);
   EXPECT_TRUE(checkSat(mkNe(L, Rhs)).isUnsat());
+}
+
+TEST(BitBlast, GateIdenticalTermsShareGates) {
+  // x + y and ~(x ^ -1) + ~(y ^ -1) are different nodes (the simplifier
+  // leaves x ^ -1 alone), but both adders read the literals of x and y and
+  // lower to the same gates. The gate table builds them once: blasting the
+  // second sum emits no clause and returns the first sum's literals, so
+  // L != R is refuted with neither a conflict nor a decision.
+  Expr X = mkFreshVar("x", 24), Y = mkFreshVar("y", 24);
+  Expr Ones = mkBV(BitVec::allOnes(24));
+  Expr L = mkAdd(X, Y);
+  Expr R = mkAdd(mkBVNot(mkBVXor(X, Ones)), mkBVNot(mkBVXor(Y, Ones)));
+  ASSERT_NE(L.id(), R.id());
+
+  SatSolver Sat;
+  BitBlaster Blaster(Sat);
+  std::vector<Lit> LBits = Blaster.blastBV(L);
+  uint64_t Clauses = Blaster.numClausesEmitted();
+  EXPECT_EQ(Blaster.blastBV(R), LBits);
+  EXPECT_EQ(Blaster.numClausesEmitted(), Clauses);
+  EXPECT_GT(Blaster.numGateHits(), 0u);
+
+  Solver S;
+  S.add(mkNe(L, R));
+  ASSERT_TRUE(S.check().isUnsat());
+  EXPECT_EQ(S.numConflicts(), 0u);
+  EXPECT_EQ(S.numDecisions(), 0u);
 }
 
 TEST(BitBlast, UDivLaw) {
@@ -232,7 +260,26 @@ TEST_P(BitBlastTrees, RandomTreesMatchEvaluator) {
     std::vector<Expr> LeafVars;
     for (int I = 0; I < 3; ++I)
       LeafVars.push_back(mkVar("leaf" + std::to_string(I), W));
-    // Build a random tree over the leaves.
+    // A condition over the operands. A sign-bit test blasts to the bit
+    // itself, or to its negation under a BNot, so an arm holding that bit
+    // is tied to the condition; a comparator's output is a negative
+    // literal, which makes the ITE swap its arms.
+    auto cond = [&](Expr A, Expr B) {
+      switch (R.next(4)) {
+      case 0:
+        return mkUlt(A, B);
+      case 1:
+        return mkSignBit(A);
+      case 2:
+        return mkSignBit(mkBVNot(A));
+      default:
+        return mkNot(mkSignBit(A));
+      }
+    };
+    // Build a random tree over the leaves. Besides the operators, it makes
+    // the shapes that exercise each canonical gate form: BNot operands
+    // (negative XOR and AND inputs) and ITEs with a constant arm, an arm
+    // tied to the condition bit, or complementary arms.
     std::function<Expr(unsigned)> build = [&](unsigned Depth) -> Expr {
       if (Depth == 0 || R.chance(1, 5)) {
         if (R.chance(1, 4))
@@ -241,7 +288,7 @@ TEST_P(BitBlastTrees, RandomTreesMatchEvaluator) {
       }
       Expr A = build(Depth - 1);
       Expr B = build(Depth - 1);
-      switch (R.next(10)) {
+      switch (R.next(14)) {
       case 0:
         return mkAdd(A, B);
       case 1:
@@ -259,7 +306,22 @@ TEST_P(BitBlastTrees, RandomTreesMatchEvaluator) {
       case 7:
         return mkLShr(A, B);
       case 8:
-        return mkIte(mkUlt(A, B), A, B);
+        return mkIte(cond(A, B), A, B);
+      case 9:
+        return mkBVNot(A);
+      case 10: {
+        Expr K = mkBV(W, R.next());
+        return R.chance(1, 2) ? mkIte(cond(A, B), A, K)
+                              : mkIte(cond(A, B), K, A);
+      }
+      case 11: {
+        Expr Tied = R.chance(1, 2) ? A : mkBVNot(A);
+        Expr C = R.chance(1, 2) ? mkSignBit(A) : mkSignBit(mkBVNot(A));
+        return R.chance(1, 2) ? mkIte(C, Tied, B) : mkIte(C, B, Tied);
+      }
+      case 12:
+        return R.chance(1, 2) ? mkIte(cond(A, B), A, mkBVNot(A))
+                              : mkIte(cond(A, B), mkBVNot(A), A);
       default:
         return mkURem(A, B);
       }

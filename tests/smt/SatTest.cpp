@@ -14,6 +14,7 @@
 
 #include "gtest/gtest.h"
 
+#include <utility>
 #include <vector>
 
 using namespace alive;
@@ -167,6 +168,42 @@ TEST(Sat, SearchEffortIsPinned) {
   EXPECT_EQ(S.numDecisions(), 6834u);
   EXPECT_EQ(S.numPropagations(), 68589u);
   EXPECT_EQ(S.numDbReductions(), 1u);
+}
+
+TEST(Sat, PropagationHeavySearchStopsInTime) {
+  // Chains of variables, each equal to the next: a decision propagates its
+  // whole chain, and the instance is satisfiable with no conflict, so the
+  // conflict poll never runs. With an expired budget, the search must still
+  // stop at the first propagation poll: after PropagationsPerPoll
+  // propagations plus at most the one pass that crossed it. 256 chains of
+  // 1024 make few decisions and heavy propagation; chains of one variable
+  // make one decision per propagation.
+  for (auto [Chains, Length] : {std::pair{256, 1024}, std::pair{20000, 1}}) {
+    SCOPED_TRACE(Length);
+    SatSolver S;
+    for (int C = 0; C < Chains; ++C) {
+      int Prev = S.newVar();
+      for (int I = 1; I < Length; ++I) {
+        int Var = S.newVar();
+        S.addClause(mkLit(Prev, true), mkLit(Var));
+        S.addClause(mkLit(Prev), mkLit(Var, true));
+        Prev = Var;
+      }
+    }
+    SatLimits L;
+    L.TimeoutSec = 0.0;
+    ASSERT_EQ(S.solve(L), SatStatus::Unknown);
+    EXPECT_EQ(S.unknownReason(), support::Reason::Timeout);
+    EXPECT_EQ(S.numConflicts(), 0u);
+    EXPECT_GE(S.numPropagations(), SatSolver::PropagationsPerPoll);
+    EXPECT_LE(S.numPropagations(),
+              SatSolver::PropagationsPerPoll + uint64_t(Length));
+
+    // Within budget, the same search runs to a model.
+    ASSERT_EQ(S.solve(), SatStatus::Sat);
+    EXPECT_EQ(S.numConflicts(), 0u);
+    EXPECT_GE(S.numPropagations(), uint64_t(Chains) * Length);
+  }
 }
 
 TEST(Sat, ConflictBudgetReturnsUnknown) {

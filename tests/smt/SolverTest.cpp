@@ -143,18 +143,19 @@ TEST(Solver, LiteralBudgetStopsBitBlasting) {
 TEST(Solver, BitBlastedSearchEffortIsPinned) {
   // The exact effort of a fixed bit-blasted query: 5-bit distributivity,
   // valid, so the check is Unsat after a search that passes one reduction
-  // of the learned clauses. Bit-blasting and the SAT core must not change
-  // the search; a change that means to updates these numbers on purpose.
+  // of the learned clauses. Bit-blasting (its gate table and canonical gate
+  // forms included) and the SAT core must not change the search; a change
+  // that means to updates these numbers on purpose.
   resetContext(); // operand order of commutative nodes follows interning
   Expr X = mkFreshVar("x", 5), Y = mkFreshVar("y", 5), Z = mkFreshVar("z", 5);
   Solver S;
   S.add(mkNe(mkMul(X, mkAdd(Y, Z)), mkAdd(mkMul(X, Y), mkMul(X, Z))));
   SolveOutcome R = S.check();
   ASSERT_TRUE(R.isUnsat());
-  EXPECT_EQ(S.numConflicts(), 6719u);
-  EXPECT_EQ(S.numDecisions(), 8570u);
-  EXPECT_EQ(S.numPropagations(), 432718u);
-  EXPECT_EQ(S.numClauses(), 5442u);
+  EXPECT_EQ(S.numConflicts(), 5875u);
+  EXPECT_EQ(S.numDecisions(), 7566u);
+  EXPECT_EQ(S.numPropagations(), 386111u);
+  EXPECT_EQ(S.numClauses(), 4594u);
 }
 
 TEST(Solver, CheckIsRepeatable) {
