@@ -16,6 +16,8 @@
 #include "support/Trace.h"
 #include "transform/Unroll.h"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
 #include <map>
@@ -87,6 +89,117 @@ std::string renderCounterexample(const Model &M, const Function &SrcF) {
   return Out;
 }
 
+/// A seed that renames the inner copy's initial local memory to
+/// \p OtherTag's and maps no read yet.
+EFQuery::Seed emptySeed(const char *OtherTag) {
+  EFQuery::Seed S;
+  S.AppRenames = {{"localinit.srcI", std::string("localinit.") + OtherTag}};
+  return S;
+}
+
+/// Maps \p From, one of the inner copy's reads, to \p Other[J] when that
+/// exists and has the same sort, else to zero.
+void seedRead(EFQuery::Seed &S, Expr From, const std::vector<Expr> &Other,
+              size_t J) {
+  unsigned W = From.isBool() ? 0 : From.width();
+  if (J < Other.size() && (Other[J].isBool() ? 0 : Other[J].width()) == W)
+    S.VarMap[From.id()] = Other[J];
+  else
+    S.VarMap[From.id()] = W == 0 ? mkFalse() : mkBV(W, 0);
+}
+
+/// Instantiates each nondeterministic read of the inner source copy \p SrcI
+/// with the read of \p Other that reads the same thing (DESIGN.md
+/// "Instantiation seeds"): the first match in the order same read path;
+/// same root and same last reader; same root, in order; same creation-order
+/// position; zero. The first two may map several inner reads to one
+/// (`or %a, %a` -> `%a`). Candidates are taken in creation order, so the
+/// seed does not depend on hash order.
+EFQuery::Seed alignReads(const FunctionEncoding &SrcI,
+                         const FunctionEncoding &Other, const char *OtherTag) {
+  const ReadPaths &PS = SrcI.Paths, &PO = Other.Paths;
+  constexpr unsigned None = ReadPaths::None;
+  // Other's key and path ids as SrcI's (None: SrcI has no such key or
+  // path). A parent's id is below its children's.
+  std::vector<unsigned> KeyInto(PO.numKeys());
+  for (unsigned K = 0; K < PO.numKeys(); ++K)
+    KeyInto[K] = PS.findKey(PO.keyText(K));
+  std::vector<unsigned> Into(PO.size(), None);
+  for (unsigned Id = 0; Id < PO.size(); ++Id) {
+    unsigned Parent = PO.parent(Id);
+    if (Parent != None && (Parent = Into[Parent]) == None)
+      continue;
+    Into[Id] = PS.find(Parent, PO.step(Id), KeyInto[PO.keyId(Id)]);
+  }
+  // Rules 1-3 key a read of width W by its path, by its root and last step
+  // (key and kind), and by its root, all as SrcI's ids.
+  struct Key {
+    unsigned Rule, Id, Last, W;
+    bool operator==(const Key &O) const {
+      return Rule == O.Rule && Id == O.Id && Last == O.Last && W == O.W;
+    }
+  };
+  struct KeyHash {
+    size_t operator()(const Key &K) const {
+      uint64_t H = (uint64_t)K.Id << 32 | K.Last;
+      H ^= ((uint64_t)K.W << 2 | K.Rule) * 0x9e3779b97f4a7c15ull;
+      return (size_t)(H ^ (H >> 29));
+    }
+  };
+  auto keys = [](unsigned Path, unsigned Root, unsigned LastKey,
+                 ReadPaths::Step LastStep, unsigned W) {
+    unsigned Last = LastKey == None ? None : LastKey * 8 + (unsigned)LastStep;
+    return std::array<Key, 3>{Key{1, Path, 0, W}, Key{2, Root, Last, W},
+                              Key{3, Root, 0, W}};
+  };
+  auto widthOf = [](Expr E) { return E.isBool() ? 0 : E.width(); };
+  // Lookups only, never iteration: the seed does not depend on hash order.
+  std::unordered_map<Key, std::vector<size_t>, KeyHash> Cands;
+  for (size_t J = 0; J < Other.NondetOrder.size(); ++J) {
+    unsigned T = Other.NondetPaths[J];
+    for (const Key &K :
+         keys(Into[T], Into[PO.root(T)], KeyInto[PO.keyId(T)], PO.step(T),
+              widthOf(Other.NondetOrder[J])))
+      if (K.Id != None && K.Last != None)
+        Cands[K].push_back(J);
+  }
+  EFQuery::Seed S = emptySeed(OtherTag);
+  std::unordered_map<Key, size_t, KeyHash> Seen;
+  for (size_t I = 0; I < SrcI.NondetOrder.size(); ++I) {
+    Expr From = SrcI.NondetOrder[I];
+    unsigned P = SrcI.NondetPaths[I];
+    std::array<Key, 3> Ks =
+        keys(P, PS.root(P), PS.keyId(P), PS.step(P), widthOf(From));
+    size_t J = I; // rule 4: the same creation-order position
+    bool Found = false;
+    for (int R = 0; R < 3; ++R) {
+      size_t Nth = Seen[Ks[R]]++;
+      auto It = Cands.find(Ks[R]);
+      if (Found || It == Cands.end())
+        continue;
+      const std::vector<size_t> &C = It->second;
+      if (R == 2 && Nth >= C.size())
+        continue; // rule 3 pairs in order, one to one
+      J = C[std::min(Nth, C.size() - 1)];
+      Found = true;
+    }
+    seedRead(S, From, Other.NondetOrder, J);
+  }
+  return S;
+}
+
+/// Pairs the inner copy's reads with \p Other's from the end: robust when
+/// the target dropped instructions, e.g. after DCE.
+EFQuery::Seed alignEnds(const FunctionEncoding &SrcI,
+                        const FunctionEncoding &Other, const char *OtherTag) {
+  EFQuery::Seed S = emptySeed(OtherTag);
+  size_t LenS = SrcI.NondetOrder.size(), LenO = Other.NondetOrder.size();
+  for (size_t I = 0; I < LenS; ++I)
+    seedRead(S, SrcI.NondetOrder[I], Other.NondetOrder,
+             LenS - I <= LenO ? LenO - (LenS - I) : LenO);
+  return S;
+}
+
 /// One verification task: everything shared by the staged queries.
 class RefinementCheck {
 public:
@@ -142,6 +255,7 @@ private:
     bool Approx = false;
     std::string Detail;
     unsigned Iterations = 0;
+    std::vector<std::string> Restless;
   };
 
   /// The protocol of every staged query, step 1 included: one
@@ -153,6 +267,30 @@ private:
   template <typename FpFn, typename SolveFn>
   Answer stagedQuery(const std::string &Check, FpFn Fingerprint,
                      SolveFn Solve);
+
+  /// Up to three of \p Changes' variables that are reads of the inner
+  /// source copy, in order, named by their read paths.
+  std::vector<std::string> restlessReads(
+      const std::vector<std::pair<ExprId, unsigned>> &Changes) const {
+    std::vector<std::string> Names;
+    if (Changes.empty())
+      return Names;
+    std::unordered_map<ExprId, unsigned> PathOf;
+    for (size_t I = 0; I < SrcI.NondetOrder.size(); ++I)
+      PathOf[SrcI.NondetOrder[I].id()] = SrcI.NondetPaths[I];
+    for (const auto &[Var, N] : Changes) {
+      auto It = PathOf.find(Var);
+      if (It == PathOf.end())
+        continue;
+      // `add %a, %a` reads %a twice along the same path: name it once.
+      std::string Name = SrcI.Paths.render(It->second);
+      if (std::find(Names.begin(), Names.end(), Name) == Names.end())
+        Names.push_back(std::move(Name));
+      if (Names.size() == 3)
+        break;
+    }
+    return Names;
+  }
 
   /// Runs one EF query; classifies its result. \returns empty optional when
   /// refinement holds for this check.
@@ -211,6 +349,7 @@ RefinementCheck::stagedQuery(const std::string &Check, FpFn Fingerprint,
   QS.Propagations = E.Propagations;
   QS.Clauses = E.Clauses;
   QS.CacheHit = Hit;
+  QS.RestlessReads = std::move(A.Restless);
   if (trace::enabled())
     trace::Event("query")
         .str("check", QS.Check)
@@ -218,7 +357,8 @@ RefinementCheck::stagedQuery(const std::string &Check, FpFn Fingerprint,
         .num("seconds", QS.Seconds)
         .num("ef_iterations", QS.EFIterations)
         .effort(E)
-        .flag("cached", QS.CacheHit);
+        .flag("cached", QS.CacheHit)
+        .strs("restless_reads", QS.RestlessReads);
   QStats.push_back(std::move(QS));
 
   if (QC && !Hit &&
@@ -266,6 +406,7 @@ RefinementCheck::runQuery(const std::string &CheckName,
         Out.Result = toQueryResult(R.Res);
         Out.Why = R.UnknownReason;
         Out.Iterations = R.Iterations;
+        Out.Restless = restlessReads(R.WitnessChanges);
         if (R.Res != SatResult::Sat)
           return Out;
         // The engine already retried for a model whose support avoids
@@ -367,48 +508,15 @@ Verdict RefinementCheck::run() {
   for (Expr A : SrcI.Axioms)
     PhiBase = mkAnd(PhiBase, A);
 
-  // Symbolic quantifier-instantiation seeds: align the inner source copy's
-  // nondeterminism with (a) the premise source copy and (b) the target, by
-  // creation order. Unmatched variables instantiate to zero. Seeds are
-  // heuristic accelerators; the CEGIS loop remains the completeness
-  // fallback.
-  auto makeSeed = [this](const FunctionEncoding &Other, const char *OtherTag,
-                         bool AlignEnd) {
-    EFQuery::Seed S;
-    size_t LenS = SrcI.NondetOrder.size();
-    size_t LenO = Other.NondetOrder.size();
-    for (size_t I = 0; I < LenS; ++I) {
-      Expr From = SrcI.NondetOrder[I];
-      unsigned W = From.isBool() ? 0 : From.width();
-      Expr To;
-      // Front alignment pairs the i-th nondeterministic choice of each
-      // side; end alignment pairs the final reads (robust when the target
-      // dropped instructions, e.g. after DCE).
-      size_t J = I;
-      bool InRange = I < LenO;
-      if (AlignEnd) {
-        InRange = LenS - I <= LenO;
-        if (InRange)
-          J = LenO - (LenS - I);
-      }
-      if (InRange) {
-        Expr Cand = Other.NondetOrder[J];
-        unsigned CW = Cand.isBool() ? 0 : Cand.width();
-        if (CW == W)
-          To = Cand;
-      }
-      if (!To.isValid())
-        To = W == 0 ? mkFalse() : mkBV(W, 0);
-      S.VarMap[From.id()] = To;
-    }
-    S.AppRenames = {{"localinit.srcI", std::string("localinit.") +
-                                             OtherTag}};
-    return S;
-  };
-  Seeds.push_back(makeSeed(Src, "src", false));
-  Seeds.push_back(makeSeed(Tgt, "tgt", false));
+  // Symbolic quantifier-instantiation seeds: pair the inner source copy's
+  // nondeterministic reads with (a) the premise source copy's and (b) the
+  // target's reads of the same thing, plus (c) the target's reads aligned
+  // at the end when the counts differ. Seeds are heuristic accelerators;
+  // the CEGIS loop remains the completeness fallback.
+  Seeds.push_back(alignReads(SrcI, Src, "src"));
+  Seeds.push_back(alignReads(SrcI, Tgt, "tgt"));
   if (SrcI.NondetOrder.size() != Tgt.NondetOrder.size())
-    Seeds.push_back(makeSeed(Tgt, "tgt", true));
+    Seeds.push_back(alignEnds(SrcI, Tgt, "tgt"));
 
   // Step 1: the preconditions must not be vacuously false. A plain check
   // of the premise under the pair's whole budget, keyed by the
@@ -416,7 +524,7 @@ Verdict RefinementCheck::run() {
   Answer Pre = stagedQuery(
       "precondition", [&] { return fingerprintConjunction(OuterBase); },
       [&] {
-        Solver S(Opts.Budget.MaxLiterals);
+        Solver S(Opts.Budget);
         for (Expr E : OuterBase)
           S.add(E);
         SolveOutcome R = S.check(Opts.Budget);

@@ -172,6 +172,11 @@ struct QueryStats {
   /// True when the result came from the staged-query cache: no solver ran,
   /// so SatChecks and the effort counters are legitimately zero.
   bool CacheHit = false;
+  /// Why inconclusive: when an Unknown query ran two or more CEGIS rounds,
+  /// up to three nondeterministic reads of the source whose witness kept
+  /// changing between rounds, most restless first, by read path
+  /// ("%a > %x > ret"). Empty otherwise.
+  std::vector<std::string> RestlessReads;
 };
 
 struct Verdict {

@@ -19,6 +19,27 @@ using namespace alive::ir;
 
 namespace {
 
+/// How read paths name the reader \p I: "%name", or the opcode of an
+/// unnamed instruction, so that a ret in one block matches a ret in another.
+std::string readerKey(const Instr &I) {
+  if (!I.name().empty())
+    return "%" + I.name();
+  switch (I.kind()) {
+  case ValueKind::Ret:
+    return "ret";
+  case ValueKind::Br:
+    return "br";
+  case ValueKind::Switch:
+    return "switch";
+  case ValueKind::Store:
+    return "store";
+  case ValueKind::Call:
+    return "call";
+  default:
+    return "instr";
+  }
+}
+
 /// Lane width in the SMT encoding (pointers widen to bid+offset bits).
 unsigned laneWidth(const MemoryLayout &L, const Type *Ty) {
   return Ty->isPtr() ? L.ptrBits() : Ty->bitWidth();
@@ -112,20 +133,35 @@ private:
   unsigned LocalCounter = 0;
   unsigned CallCounter = 0;
 
+  /// An undef instance a read of the template refreshes, and its path.
+  struct Refresh {
+    Expr Var;
+    unsigned Path;
+  };
   struct Template {
     EncodedValue V;
-    std::vector<Expr> RefreshVars;
+    std::vector<Refresh> RefreshVars;
   };
   std::unordered_map<const Value *, Template> Regs;
   std::unordered_map<const BasicBlock *, Expr> Dom;
   /// Per-edge condition (Pred, Succ) -> Bool (without Dom(Pred)).
   std::map<std::pair<const BasicBlock *, const BasicBlock *>, Expr> EdgeCond;
 
-  Expr freshNondet(const std::string &What, unsigned Width) {
+  /// The key id of the instruction being encoded, as read paths name it.
+  unsigned ReaderKey = ReadPaths::None;
+
+  Expr freshNondet(const std::string &What, unsigned Width, unsigned Path) {
     Expr V = mkFreshVar(Opts.Tag + "." + What, Width);
     Out.NondetVars.insert(V.id());
     Out.NondetOrder.push_back(V);
+    Out.NondetPaths.push_back(Path);
     return V;
+  }
+  /// A choice made by the instruction being encoded (\p S names which).
+  Expr freshChoice(const std::string &What, unsigned Width,
+                   ReadPaths::Step S) {
+    return freshNondet(What, Width,
+                       Out.Paths.intern(ReadPaths::None, S, ReaderKey));
   }
   Expr sharedInput(const std::string &Name, unsigned Width) {
     Expr V = mkVar(Name, Width);
@@ -166,7 +202,7 @@ private:
   }
 
   /// Reads an operand, refreshing its undef instances (Section 3.3).
-  EncodedValue read(const Value *V, std::vector<Expr> *FreshOut = nullptr);
+  EncodedValue read(const Value *V, std::vector<Refresh> *FreshOut = nullptr);
   Template encodeConstant(const Value *V);
   Template encodeArgument(const Argument *A, unsigned Index);
 
@@ -198,7 +234,7 @@ private:
 // Operand reading
 //===----------------------------------------------------------------------===//
 
-EncodedValue Encoder::read(const Value *V, std::vector<Expr> *FreshOut) {
+EncodedValue Encoder::read(const Value *V, std::vector<Refresh> *FreshOut) {
   auto It = Regs.find(V);
   if (It == Regs.end()) {
     assert(!V->isInstr() && "instruction read before encoding (not RPO?)");
@@ -209,13 +245,21 @@ EncodedValue Encoder::read(const Value *V, std::vector<Expr> *FreshOut) {
   if (T.RefreshVars.empty() || Opts.IgnoreUB)
     return T.V;
   // Substitute every undef instance with a fresh variable: each observation
-  // of an undef value may differ (Section 3.3).
+  // of an undef value may differ (Section 3.3). The read extends the path
+  // of the instance it refreshes; a read of an undef constant is a root
+  // keyed by its reader.
+  bool OfConstant = !V->isInstr() && V->kind() != ValueKind::Argument;
   std::unordered_map<ExprId, Expr> Map;
-  for (Expr Old : T.RefreshVars) {
-    Expr Fresh = freshNondet("undef", Old.isBool() ? 0 : Old.width());
+  for (const auto &[Old, OldPath] : T.RefreshVars) {
+    unsigned Path =
+        OfConstant ? Out.Paths.intern(ReadPaths::None, ReadPaths::Step::Undef,
+                                      ReaderKey)
+                   : Out.Paths.intern(OldPath, ReadPaths::Step::Read,
+                                      ReaderKey);
+    Expr Fresh = freshNondet("undef", Old.isBool() ? 0 : Old.width(), Path);
     Map[Old.id()] = Fresh;
     if (FreshOut)
-      FreshOut->push_back(Fresh);
+      FreshOut->push_back({Fresh, Path});
   }
   EncodedValue R = T.V;
   for (StateValue &SV : R.Elems) {
@@ -241,9 +285,10 @@ Encoder::Template Encoder::encodeConstant(const Value *V) {
     return T;
   case ValueKind::Undef: {
     for (unsigned I = 0; I < numLanes(Ty); ++I) {
-      Expr U = freshNondet("undef", laneWidth(L, laneType(Ty, I)));
+      Expr U = freshChoice("undef", laneWidth(L, laneType(Ty, I)),
+                           ReadPaths::Step::Undef);
       T.V.Elems.push_back(StateValue(U, mkTrue(), mkTrue()));
-      T.RefreshVars.push_back(U);
+      T.RefreshVars.push_back({U, Out.NondetPaths.back()});
     }
     return T;
   }
@@ -257,7 +302,7 @@ Encoder::Template Encoder::encodeConstant(const Value *V) {
       Template ET = encodeConstant(E);
       for (StateValue &SV : ET.V.Elems)
         T.V.Elems.push_back(SV);
-      for (Expr R : ET.RefreshVars)
+      for (const Refresh &R : ET.RefreshVars)
         T.RefreshVars.push_back(R);
     }
     return T;
@@ -290,8 +335,13 @@ Encoder::Template Encoder::encodeArgument(const Argument *A, unsigned Index) {
     }
     Expr IsPoison = sharedInput(Base + ".poison", 0);
     Expr IsUndef = sharedInput(Base + ".undef", 0);
-    Expr UndefInst = freshNondet("undef", W);
-    T.RefreshVars.push_back(UndefInst);
+    std::string Root = "%" + A->name();
+    if (numLanes(Ty) > 1)
+      Root += "[" + std::to_string(Lane) + "]";
+    unsigned Path = Out.Paths.intern(ReadPaths::None, ReadPaths::Step::Read,
+                                     Out.Paths.internKey(Root));
+    Expr UndefInst = freshNondet("undef", W, Path);
+    T.RefreshVars.push_back({UndefInst, Path});
     StateValue SV(mkIte(IsUndef, UndefInst, Val), mkNot(IsPoison), IsUndef);
     T.V.Elems.push_back(SV);
 
@@ -492,7 +542,7 @@ StateValue Encoder::encodeFBinOpLane(const FBinOp &B, const StateValue &A,
                          mkNot(FS.isInf(Val))));
   if (FMF.NSZ) {
     // The sign of a zero result is chosen nondeterministically.
-    Expr Pick = freshNondet("nsz", 0);
+    Expr Pick = freshChoice("nsz", 0, ReadPaths::Step::Nsz);
     Val = mkIte(FS.isZero(Val), mkIte(Pick, FS.posZero(), FS.negZero()), Val);
   }
   if (Opts.IgnoreUB)
@@ -826,8 +876,7 @@ Encoder::Template Encoder::encodeCall(const Call &C, Expr DomE) {
 
 Encoder::Template Encoder::encodeLoad(const Load &Ld, Expr DomE) {
   Template T;
-  std::vector<Expr> Fresh;
-  EncodedValue PtrV = read(Ld.ptr(), &Fresh);
+  EncodedValue PtrV = read(Ld.ptr());
   const StateValue &P = PtrV.scalar();
   unsigned Size = Ld.type()->storeSize();
   addUB(DomE, mkOr(mkOr(mkNot(P.NonPoison), P.IsUndef),
@@ -954,7 +1003,8 @@ Encoder::Template Encoder::encodeInstr(const Instr &I, Expr DomE) {
     EncodedValue A = read(I.op(0));
     for (unsigned Lane = 0; Lane < A.numElems(); ++Lane) {
       const StateValue &SV = A.Elems[Lane];
-      Expr Choice = freshNondet("freeze", SV.Val.width());
+      Expr Choice =
+          freshChoice("freeze", SV.Val.width(), ReadPaths::Step::Freeze);
       T.V.Elems.push_back(StateValue::defined(
           Opts.IgnoreUB ? SV.Val : mkIte(SV.NonPoison, SV.Val, Choice)));
     }
@@ -991,8 +1041,9 @@ Encoder::Template Encoder::encodeInstr(const Instr &I, Expr DomE) {
         Expr V = A.Elems[Lane].Val;
         if (LT->isFP() && !DstTy->isFP()) {
           FloatSema FS(LT);
-          Expr Mant = freshNondet("nanbits", FS.ManW);
-          Expr Sign = freshNondet("nansign", 1);
+          Expr Mant =
+              freshChoice("nanbits", FS.ManW, ReadPaths::Step::NaNBits);
+          Expr Sign = freshChoice("nansign", 1, ReadPaths::Step::NaNSign);
           Expr NaNPattern = mkConcat(
               mkConcat(Sign, mkBV(BitVec::allOnes(FS.ExpW))),
               mkBVOr(Mant, mkBV(BitVec(FS.ManW, 1).shl(
@@ -1118,8 +1169,8 @@ Encoder::Template Encoder::encodeInstr(const Instr &I, Expr DomE) {
         // Undef mask lane -> undef element (the Section 8.3 resolution:
         // no poison propagation from an undef mask).
         unsigned W = laneWidth(L, I.type()->elementType());
-        Expr U = freshNondet("undef", W);
-        T.RefreshVars.push_back(U);
+        Expr U = freshChoice("undef", W, ReadPaths::Step::Undef);
+        T.RefreshVars.push_back({U, Out.NondetPaths.back()});
         T.V.Elems.push_back({U, mkTrue(), mkTrue()});
       } else if ((unsigned)M < N) {
         T.V.Elems.push_back(V1.Elems[M]);
@@ -1188,6 +1239,7 @@ void Encoder::encodeBlock(const BasicBlock *BB, const analysis::Cfg &G) {
     const Instr *I = IP.get();
     ALIVE_STAT_COUNTER(Instrs, "encode.instructions");
     Instrs.inc();
+    ReaderKey = Out.Paths.internKey(readerKey(*I));
     switch (I->kind()) {
     case ValueKind::Phi: {
       const auto *P = cast<Phi>(I);
@@ -1317,9 +1369,13 @@ FunctionEncoding Encoder::run() {
   // layer binds them on the right side of the quantifier alternation.
   for (unsigned Slot = 0; Slot < L.numLocalSlots(); ++Slot) {
     unsigned Bid = L.firstLocalBid() + Slot;
-    Expr V = mkVar("blocksize." + std::to_string(Bid) + "." + Opts.Tag, 64);
+    std::string Root = "blocksize." + std::to_string(Bid);
+    Expr V = mkVar(Root + "." + Opts.Tag, 64);
+    unsigned Path = Out.Paths.intern(ReadPaths::None, ReadPaths::Step::Read,
+                                     Out.Paths.internKey(Root));
     Out.NondetVars.insert(V.id());
     Out.NondetOrder.push_back(V);
+    Out.NondetPaths.push_back(Path);
   }
 
   for (unsigned I = 0; I < F.numArgs(); ++I)
@@ -1339,6 +1395,65 @@ FunctionEncoding Encoder::run() {
 }
 
 } // namespace
+
+unsigned ReadPaths::internKey(const std::string &Key) {
+  auto [K, New] = KeyIds.try_emplace(Key, (unsigned)Keys.size());
+  if (New)
+    Keys.push_back(Key);
+  return K->second;
+}
+
+unsigned ReadPaths::findKey(const std::string &Key) const {
+  auto K = KeyIds.find(Key);
+  return K == KeyIds.end() ? None : K->second;
+}
+
+unsigned ReadPaths::intern(unsigned Parent, Step S, unsigned Key) {
+  if (unsigned Found = find(Parent, S, Key); Found != None)
+    return Found;
+  unsigned Id = (unsigned)Entries.size();
+  Entries.push_back({Parent, Parent == None ? Id : root(Parent), Key, S});
+  if (Parent == None) {
+    Roots.emplace((uint64_t)Key << 3 | (uint64_t)S, Id);
+  } else {
+    Entries[Id].NextSibling = Entries[Parent].FirstChild;
+    Entries[Parent].FirstChild = Id;
+  }
+  return Id;
+}
+
+unsigned ReadPaths::find(unsigned Parent, Step S, unsigned Key) const {
+  if (Key == None)
+    return None;
+  if (Parent == None) {
+    auto It = Roots.find((uint64_t)Key << 3 | (uint64_t)S);
+    return It == Roots.end() ? None : It->second;
+  }
+  for (unsigned C = Entries[Parent].FirstChild; C != None;
+       C = Entries[C].NextSibling)
+    if (Entries[C].Key == Key && Entries[C].S == S)
+      return C;
+  return None;
+}
+
+std::string ReadPaths::render(unsigned Id) const {
+  static const char *Choice[] = {"", "undef", "freeze", "nsz", "nanbits",
+                                 "nansign"};
+  std::vector<unsigned> Chain;
+  for (unsigned I = Id; I != None; I = parent(I))
+    Chain.push_back(I);
+  std::string Out;
+  for (auto It = Chain.rbegin(); It != Chain.rend(); ++It) {
+    if (!Out.empty())
+      Out += " > ";
+    Step S = step(*It);
+    if (S == Step::Read)
+      Out += key(*It);
+    else
+      Out += std::string(Choice[(int)S]) + "(" + key(*It) + ")";
+  }
+  return Out;
+}
 
 FunctionEncoding
 sema::encodeFunction(const Function &F, const MemoryLayout &L,

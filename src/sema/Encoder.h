@@ -25,8 +25,12 @@
 
 #include "sema/Memory.h"
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 namespace alive::sema {
 
@@ -37,6 +41,61 @@ struct EncodeOptions {
   /// undef. This reproduces a naive translation validator without deferred
   /// UB support.
   bool IgnoreUB = false;
+};
+
+/// Where each nondeterministic variable of an encoding comes from: its root
+/// choice plus the chain of instructions that re-read it (each read of a
+/// value whose template carries refresh variables is a fresh choice,
+/// Section 3.3). A path is interned as its parent path plus one step, so a
+/// chain that grows with the unroll factor costs one entry per read: a
+/// trie whose children are found on their parent's list (a value has few
+/// readers), and whose roots are hashed.
+/// Rendered for people as "%a > %x > ret" (DESIGN.md "Instantiation
+/// seeds").
+class ReadPaths {
+public:
+  static constexpr unsigned None = ~0u;
+  /// What one entry is. Read: a reader by its key, "%name" or the opcode
+  /// of an unnamed reader, or a root spelled in full ("%a", "blocksize.1").
+  /// The choice kinds are roots keyed by an instruction: an undef constant
+  /// by its reader, a freeze/nsz/NaN choice by its own instruction.
+  enum class Step : uint8_t { Read, Undef, Freeze, Nsz, NaNBits, NaNSign };
+
+  /// The id of the key string \p Key, interned.
+  unsigned internKey(const std::string &Key);
+  /// The id of \p Key when interned, else None.
+  unsigned findKey(const std::string &Key) const;
+  size_t numKeys() const { return Keys.size(); }
+  const std::string &keyText(unsigned KeyId) const { return Keys[KeyId]; }
+
+  /// The path (\p Parent, \p S, key id \p Key), interned; \p Parent is
+  /// None for a root.
+  unsigned intern(unsigned Parent, Step S, unsigned Key);
+  /// Its id when interned, else None.
+  unsigned find(unsigned Parent, Step S, unsigned Key) const;
+
+  size_t size() const { return Entries.size(); }
+  unsigned parent(unsigned Id) const { return Entries[Id].Parent; }
+  unsigned root(unsigned Id) const { return Entries[Id].Root; }
+  Step step(unsigned Id) const { return Entries[Id].S; }
+  /// The key id of path \p Id's last step.
+  unsigned keyId(unsigned Id) const { return Entries[Id].Key; }
+  const std::string &key(unsigned Id) const { return Keys[keyId(Id)]; }
+  /// "undef(%x) > %y > ret".
+  std::string render(unsigned Id) const;
+
+private:
+  struct Entry {
+    unsigned Parent, Root, Key;
+    Step S;
+    /// The first child, and the next child of the same parent.
+    unsigned FirstChild = None, NextSibling = None;
+  };
+  std::vector<Entry> Entries;
+  std::vector<std::string> Keys;
+  std::unordered_map<std::string, unsigned> KeyIds;
+  /// Roots by (key, step).
+  std::unordered_map<uint64_t, unsigned> Roots;
 };
 
 /// One call site's record, used for the "no introduced calls" check.
@@ -74,6 +133,9 @@ struct FunctionEncoding {
   /// The same variables in creation order (used to align the inner source
   /// copy's nondeterminism with the target's / premise copy's for seeding).
   std::vector<smt::Expr> NondetOrder;
+  /// NondetOrder[I]'s read path, an id in Paths.
+  std::vector<unsigned> NondetPaths;
+  ReadPaths Paths;
   /// Shared input variables (arguments etc).
   std::unordered_set<smt::ExprId> InputVars;
   /// Uninterpreted-function names whose presence in a counterexample means

@@ -23,14 +23,34 @@ Lit BitBlaster::fresh() {
   return mkLit(S.newVar());
 }
 
+void BitBlaster::setTimeBudget(double Seconds,
+                               const std::atomic<bool> *CancelFlag) {
+  auto Now = std::chrono::steady_clock::now();
+  // Budgets past the clock's range (a default 60 s is far inside it) mean
+  // no deadline.
+  if (Seconds < 1e9)
+    Deadline = Now + std::chrono::duration_cast<
+                         std::chrono::steady_clock::duration>(
+                         std::chrono::duration<double>(Seconds));
+  Cancel = CancelFlag;
+}
+
 void BitBlaster::clause(std::initializer_list<Lit> Lits) {
+  if (Stop != Reason::None)
+    return;
   ++ClausesEmitted;
   EmittedLiterals += Lits.size();
   if (EmittedLiterals > LiteralBudget) {
-    OverBudget = true;
+    Stop = Reason::Memory;
     return;
   }
   S.addClause(std::span<const Lit>(Lits.begin(), Lits.size()));
+  if (ClausesEmitted % ClausesPerPoll == 0) {
+    if (Cancel && Cancel->load(std::memory_order_relaxed))
+      Stop = Reason::Cancelled;
+    else if (std::chrono::steady_clock::now() > Deadline)
+      Stop = Reason::Timeout;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -53,6 +73,8 @@ BitBlaster::Gate &BitBlaster::gateSlot(Lit A, Lit B, Lit C) {
 }
 
 std::pair<Lit, bool> BitBlaster::findOrAddGate(Lit A, Lit B, Lit C) {
+  if (Stop != Reason::None)
+    return {falseLit(), true}; // a placeholder: emit nothing more
   if (Gates.empty())
     Gates.resize(FirstGateSlots);
   Gate *G = &gateSlot(A, B, C);
@@ -326,6 +348,8 @@ Lit BitBlaster::blastBool(Expr E) {
     ++CacheHits;
     return It->second;
   }
+  if (Stop != Reason::None)
+    return falseLit();
   const Node &N = E.node();
   Lit R;
   switch (N.K) {
@@ -394,6 +418,8 @@ const std::vector<Lit> &BitBlaster::blastBV(Expr E) {
     return It->second;
   }
   const Node &N = E.node();
+  if (Stop != Reason::None)
+    return BVCache[E.id()] = std::vector<Lit>(N.Width, falseLit());
   std::vector<Lit> R;
   auto bv = [this](ExprId Id) -> const std::vector<Lit> & {
     return blastBV(Expr(Id));

@@ -21,6 +21,8 @@
 #include "smt/Expr.h"
 #include "smt/Sat.h"
 
+#include <atomic>
+#include <chrono>
 #include <initializer_list>
 #include <unordered_map>
 #include <utility>
@@ -47,9 +49,17 @@ public:
   /// model; also answers for variables never blasted (defaulting to zero).
   BitVec readVar(Expr Var) const;
 
-  /// True once the clause budget was exceeded; results are then unusable.
-  bool overBudget() const { return OverBudget; }
+  /// True once a budget ran out. Results are then unusable: the blaster
+  /// emits nothing more, and blastBool/blastBV return placeholders without
+  /// descending.
+  bool overBudget() const { return Stop != Reason::None; }
+  /// Why blasting stopped: Memory past the literal budget, Timeout or
+  /// Cancelled past the time budget; None while it runs.
+  Reason stopReason() const { return Stop; }
   void setLiteralBudget(size_t Budget) { LiteralBudget = Budget; }
+  /// Stops blasting once \p Seconds have passed from this call or \p Cancel
+  /// (optional) reads true; both are polled every ClausesPerPoll clauses.
+  void setTimeBudget(double Seconds, const std::atomic<bool> *Cancel);
 
   /// CNF-size telemetry (cumulative since construction; the Solver facade
   /// flushes deltas into the stats registry per check).
@@ -64,8 +74,12 @@ private:
   std::unordered_map<ExprId, std::vector<Lit>> BVCache;
   std::unordered_map<ExprId, std::vector<Lit>> VarBits;
   Lit TrueLit;
-  bool OverBudget = false;
+  Reason Stop = Reason::None;
   size_t LiteralBudget = ~size_t(0);
+  static constexpr uint64_t ClausesPerPoll = uint64_t(1) << 12;
+  std::chrono::steady_clock::time_point Deadline =
+      std::chrono::steady_clock::time_point::max();
+  const std::atomic<bool> *Cancel = nullptr;
   size_t EmittedLiterals = 0;
   uint64_t CacheHits = 0, GateHits = 0, FreshVars = 0, ClausesEmitted = 0;
 

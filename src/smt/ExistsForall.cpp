@@ -10,72 +10,199 @@
 #include "support/Stats.h"
 #include "support/Trace.h"
 
+#include <algorithm>
+#include <optional>
+
 using namespace alive;
 using namespace alive::smt;
 
 namespace {
 
 /// Derives definitional instantiations for inner variables from equations
-/// in Phi: a conjunct-or-disjunct subterm (= u t) with u inner and t
-/// inner-free suggests u := t (for equalities under an ite on an inner var,
-/// the branch variable is also tried). Iterates so chains of definitions
-/// resolve. This plays the role of Z3's pattern-based instantiation that
-/// Alive2 depends on for its undef encoding (Section 3.3/3.7).
-/// Unification-style descent: given (= U T) with T inner-free, record
-/// candidate definitions for inner variables appearing in value position of
-/// U. Descends through ite arms, extracts and concats (the shapes the byte
-/// packing of Section 4 produces).
+/// in Phi: a subterm (= U t) with t inner-free suggests solving U = t for
+/// U's inner variables. This plays the role of Z3's pattern-based
+/// instantiation that Alive2 depends on for its undef encoding (Section
+/// 3.3/3.7). The descent through U's operators follows one invertibility
+/// table; a definition may constrain only some bits of its variable (the
+/// byte packing of Section 4 produces extracts and concats).
 struct PartialDef {
   BitVec Mask; // bits of the variable this definition constrains
   Expr Value;  // the constrained bits (other bits zero)
 };
 
-void matchDefs(Expr U, Expr T, const BitVec &Mask,
-               const std::unordered_set<ExprId> &InnerVars,
-               std::unordered_map<ExprId, PartialDef> &Defs, unsigned Depth,
-               bool PreferSecond);
+/// What one descent step solves: the operand, the term it must equal, and
+/// the bits of it that term constrains.
+struct Inverse {
+  unsigned Operand;
+  Expr X;
+  BitVec Mask;
+};
+using MaybeInverse = std::optional<Inverse>;
 
-/// Grounds \p E: substitutes current defs, then pins any remaining inner
-/// variables to zero (recording those pins as definitions so the final
-/// instantiation is consistent). Returns the inner-free result.
-Expr groundWithZeros(Expr E, const std::unordered_set<ExprId> &InnerVars,
-                     std::unordered_map<ExprId, PartialDef> &Defs) {
-  std::unordered_map<ExprId, Expr> Flat;
-  for (const auto &[Id, P] : Defs)
-    Flat[Id] = P.Value;
-  Expr R = substitute(E, Flat);
-  std::unordered_set<ExprId> Vars;
-  collectVars(R, Vars);
-  std::unordered_map<ExprId, Expr> Zeros;
-  for (ExprId V : Vars) {
-    if (!InnerVars.count(V))
-      continue;
-    Expr Var(V);
-    unsigned W = Var.isBool() ? 1 : Var.width();
-    Expr Zero = Var.isBool() ? mkFalse() : mkBV(Var.width(), 0);
-    Zeros[V] = Zero;
-    Defs[V] = {BitVec::allOnes(W), Zero};
-  }
-  return Zeros.empty() ? R : substitute(R, Zeros);
+/// One row of the invertibility table (Niemetz et al., "Solving Quantified
+/// Bit-Vectors Using Invertibility Conditions", CAV 2018) for (= U t).
+/// Ground rows solve operand Side of a binary U with the other operand
+/// grounded to S; the other rows solve each of U's independent parts
+/// (Side 0, 1) on their own, with S invalid. Invert returns nothing when
+/// the row has no inverse there. Sub, neg, zext and sext are built from
+/// these operators (smt/Expr.cpp), so they need no rows of their own.
+struct InvRow {
+  Kind K;
+  bool Ground;
+  MaybeInverse (*Invert)(Expr U, unsigned Side, Expr T, Expr S,
+                         const BitVec &Mask);
+};
+
+/// Carries cross bit ranges: arithmetic inverts only on a full mask.
+MaybeInverse whole(unsigned Side, Expr X, const BitVec &Mask) {
+  return Mask.isAllOnes() ? MaybeInverse({Side, X, Mask}) : std::nullopt;
 }
 
-void matchDefs(Expr U, Expr T, const BitVec &Mask,
-               const std::unordered_set<ExprId> &InnerVars,
-               std::unordered_map<ExprId, PartialDef> &Defs, unsigned Depth,
-               bool PreferSecond) {
+/// A constant shift amount below the width, or nothing.
+std::optional<BitVec> shiftAmount(unsigned Side, Expr S) {
+  BitVec K;
+  if (Side != 0 || !S.getConst(K) || K.uge(BitVec(K.width(), K.width())))
+    return std::nullopt;
+  return K;
+}
+
+/// c^-1 modulo 2^w for odd c, by Newton's iteration (c is its own inverse
+/// to three bits, and each step doubles the correct bits).
+BitVec oddInverse(const BitVec &C) {
+  BitVec X = C;
+  while (!C.mul(X).isOne())
+    X = X.mul(BitVec(C.width(), 2).sub(C.mul(X)));
+  return X;
+}
+
+const InvRow InvTable[] = {
+    // x + s = t: x := t - s.
+    {Kind::Add, true,
+     [](Expr, unsigned Side, Expr T, Expr S, const BitVec &M) {
+       return whole(Side, mkSub(T, S), M);
+     }},
+    // x ^ s = t: x := t ^ s, bit by bit.
+    {Kind::BXor, true,
+     [](Expr, unsigned Side, Expr T, Expr S, const BitVec &M) {
+       return MaybeInverse({Side, mkBVXor(T, S), M});
+     }},
+    // x & s = t and x | s = t: x := t solves both whenever any x does.
+    {Kind::BAnd, true,
+     [](Expr, unsigned Side, Expr T, Expr, const BitVec &M) {
+       return MaybeInverse({Side, T, M});
+     }},
+    {Kind::BOr, true,
+     [](Expr, unsigned Side, Expr T, Expr, const BitVec &M) {
+       return MaybeInverse({Side, T, M});
+     }},
+    // x * c = t for odd c: x := t * c^-1 (Simplify folds the product).
+    {Kind::Mul, true,
+     [](Expr, unsigned Side, Expr T, Expr S, const BitVec &M) {
+       BitVec C;
+       if (!S.getConst(C) || !C.bit(0))
+         return MaybeInverse();
+       return whole(Side, mkMul(T, mkBV(oddInverse(C))), M);
+     }},
+    // x << k = t: x := t >> k; t's bits move down onto x's.
+    {Kind::Shl, true,
+     [](Expr, unsigned Side, Expr T, Expr S, const BitVec &M) {
+       auto K = shiftAmount(Side, S);
+       return K ? MaybeInverse({0, mkLShr(T, S), M.lshr(*K)})
+                : std::nullopt;
+     }},
+    // x >> k = t (logical or arithmetic): x := t << k; the bits move up.
+    {Kind::LShr, true,
+     [](Expr, unsigned Side, Expr T, Expr S, const BitVec &M) {
+       auto K = shiftAmount(Side, S);
+       return K ? MaybeInverse({0, mkShl(T, S), M.shl(*K)}) : std::nullopt;
+     }},
+    {Kind::AShr, true,
+     [](Expr, unsigned Side, Expr T, Expr S, const BitVec &M) {
+       auto K = shiftAmount(Side, S);
+       return K ? MaybeInverse({0, mkShl(T, S), M.shl(*K)}) : std::nullopt;
+     }},
+    // ~x = t: x := ~t.
+    {Kind::BNot, false,
+     [](Expr, unsigned Side, Expr T, Expr, const BitVec &M) {
+       return Side ? std::nullopt : MaybeInverse({0, mkBVNot(T), M});
+     }},
+    // extract(x, lo, len) = t: t sets bits [lo, lo + len) of x.
+    {Kind::Extract, false,
+     [](Expr U, unsigned Side, Expr T, Expr, const BitVec &M) {
+       unsigned XW = Expr(U.node().Ops[0]).width(), Lo = U.node().P0;
+       if (Side)
+         return MaybeInverse();
+       return MaybeInverse({0, mkShl(mkZExt(T, XW), mkBV(XW, Lo)),
+                            M.zext(XW).shl(BitVec(XW, Lo))});
+     }},
+    // concat(hi, lo) = t: each part is its slice of t, the low part first.
+    {Kind::Concat, false,
+     [](Expr U, unsigned Side, Expr T, Expr, const BitVec &M) {
+       unsigned LoW = Expr(U.node().Ops[1]).width();
+       unsigned Off = Side ? LoW : 0, W = Side ? U.width() - LoW : LoW;
+       return MaybeInverse({1 - Side, mkExtract(T, Off, W),
+                            M.extract(Off, W)});
+     }},
+    // ite(c, a, b) = t: either arm may be the one taken.
+    {Kind::Ite, false,
+     [](Expr, unsigned Side, Expr T, Expr, const BitVec &M) {
+       return MaybeInverse({1 + Side, T, M});
+     }},
+};
+
+/// The state of one derivation: the definitions found so far.
+struct Derivation {
+  const std::unordered_set<ExprId> &InnerVars;
+  std::unordered_map<ExprId, PartialDef> Defs;
+  /// Which operand of a ground row to solve first on a tie.
+  unsigned PreferSecond;
+
+  /// Inner variables of \p E without a definition yet.
+  unsigned unresolved(ExprId E) const {
+    std::unordered_set<ExprId> Vars;
+    collectVars(Expr(E), Vars);
+    unsigned N = 0;
+    for (ExprId V : Vars)
+      N += InnerVars.count(V) && !Defs.count(V);
+    return N;
+  }
+
+  /// Grounds \p E: substitutes current defs, then pins any remaining inner
+  /// variables to zero (recording those pins as definitions so the final
+  /// instantiation is consistent). Returns the inner-free result.
+  Expr ground(Expr E) {
+    std::unordered_map<ExprId, Expr> Flat;
+    for (const auto &[Id, P] : Defs)
+      Flat[Id] = P.Value;
+    Expr R = substitute(E, Flat);
+    std::unordered_set<ExprId> Vars;
+    collectVars(R, Vars);
+    std::unordered_map<ExprId, Expr> Zeros;
+    for (ExprId V : Vars) {
+      if (!InnerVars.count(V))
+        continue;
+      Expr Var(V);
+      unsigned W = Var.isBool() ? 1 : Var.width();
+      Expr Zero = Var.isBool() ? mkFalse() : mkBV(Var.width(), 0);
+      Zeros[V] = Zero;
+      Defs[V] = {BitVec::allOnes(W), Zero};
+    }
+    return Zeros.empty() ? R : substitute(R, Zeros);
+  }
+};
+
+/// Solves (= U T) on the bits \p Mask for U's inner variables, descending
+/// through InvTable, and records what it finds in \p D.Defs.
+void matchDefs(Expr U, Expr T, const BitVec &Mask, Derivation &D,
+               unsigned Depth) {
   if (Depth == 0)
     return;
-  // Copy the fields up front: building expressions below may reallocate
-  // the node arena and invalidate references into it.
-  Kind K = U.kind();
-  std::vector<ExprId> Ops = U.node().Ops;
-  unsigned P0 = U.node().P0;
-  if (K == Kind::Var) {
-    if (!InnerVars.count(U.id()) || U.isBool() || U.width() != T.width())
+  if (U.kind() == Kind::Var) {
+    if (!D.InnerVars.count(U.id()) || U.isBool() || U.width() != T.width())
       return;
-    auto It = Defs.find(U.id());
-    if (It == Defs.end()) {
-      Defs[U.id()] = {Mask, mkBVAnd(T, mkBV(Mask))};
+    auto It = D.Defs.find(U.id());
+    if (It == D.Defs.end()) {
+      D.Defs[U.id()] = {Mask, mkBVAnd(T, mkBV(Mask))};
       return;
     }
     // Merge bit ranges that are not yet constrained.
@@ -83,82 +210,39 @@ void matchDefs(Expr U, Expr T, const BitVec &Mask,
     if (Fresh.isZero())
       return;
     It->second.Mask = It->second.Mask.bvor(Fresh);
-    It->second.Value =
-        mkBVOr(It->second.Value, mkBVAnd(T, mkBV(Fresh)));
+    It->second.Value = mkBVOr(It->second.Value, mkBVAnd(T, mkBV(Fresh)));
     return;
   }
-  switch (K) {
-  case Kind::Ite:
-    matchDefs(Expr(Ops[1]), T, Mask, InnerVars, Defs, Depth - 1,
-              PreferSecond);
-    matchDefs(Expr(Ops[2]), T, Mask, InnerVars, Defs, Depth - 1,
-              PreferSecond);
+  const InvRow *Row = nullptr;
+  for (const InvRow &R : InvTable)
+    Row = R.K == U.kind() ? &R : Row;
+  if (!Row)
     return;
-  case Kind::Extract: {
-    // (= (extract x lo len) t): constrains bits [lo, lo+len) of x.
-    Expr X(Ops[0]);
-    unsigned XW = X.width();
-    Expr Widened = mkZExt(T, XW);
-    BitVec NewMask = Mask.zext(XW);
-    if (P0 > 0) {
-      Widened = mkShl(Widened, mkBV(XW, P0));
-      NewMask = NewMask.shl(BitVec(XW, P0));
-    }
-    matchDefs(X, Widened, NewMask, InnerVars, Defs, Depth - 1, PreferSecond);
+  // Copy: building expressions below may reallocate the node arena.
+  std::vector<ExprId> Ops = U.node().Ops;
+  if (!Row->Ground) {
+    for (unsigned Side = 0; Side < 2; ++Side)
+      if (MaybeInverse Inv = Row->Invert(U, Side, T, Expr(), Mask))
+        matchDefs(Expr(Ops[Inv->Operand]), Inv->X, Inv->Mask, D, Depth - 1);
     return;
   }
-  case Kind::Concat: {
-    Expr Hi(Ops[0]), Lo(Ops[1]);
-    matchDefs(Lo, mkExtract(T, 0, Lo.width()),
-              Mask.extract(0, Lo.width()), InnerVars, Defs, Depth - 1,
-              PreferSecond);
-    matchDefs(Hi, mkExtract(T, Lo.width(), Hi.width()),
-              Mask.extract(Lo.width(), Hi.width()), InnerVars, Defs,
-              Depth - 1, PreferSecond);
-    return;
-  }
-  case Kind::BNot:
-    matchDefs(Expr(Ops[0]), mkBVNot(T), Mask, InnerVars, Defs, Depth - 1,
-              PreferSecond);
-    return;
-  case Kind::Add:
-  case Kind::BXor: {
-    // Invertible in either argument when every bit is constrained: ground
-    // the other side (pinning its residual inner variables to zero) and
-    // solve for this one. Descend into the side with more unresolved inner
-    // variables (PreferSecond breaks ties the other way).
-    if (!Mask.isAllOnes())
-      return; // cannot invert through partially-constrained bits
-    auto innerCount = [&](Expr E) {
-      std::unordered_set<ExprId> Vars;
-      collectVars(E, Vars);
-      unsigned N = 0;
-      for (ExprId V : Vars)
-        N += InnerVars.count(V) && !Defs.count(V);
-      return N;
-    };
-    unsigned N0 = innerCount(Expr(Ops[0]));
-    unsigned N1 = innerCount(Expr(Ops[1]));
-    int First;
-    if (N0 != N1)
-      First = N0 > N1 ? 0 : 1;
-    else
-      First = PreferSecond ? 1 : 0;
-    for (int Pass = 0; Pass < 2; ++Pass) {
-      int Side = Pass == 0 ? First : 1 - First;
-      if (innerCount(Expr(Ops[Side])) == 0)
-        continue;
-      Expr Other = groundWithZeros(Expr(Ops[1 - Side]), InnerVars, Defs);
-      Expr Solved =
-          K == Kind::Add ? mkSub(T, Other) : mkBVXor(T, Other);
-      matchDefs(Expr(Ops[Side]), Solved, Mask, InnerVars, Defs, Depth - 1,
-                PreferSecond);
-      break; // one argument per node keeps the pinning consistent
-    }
-    return;
-  }
-  default:
-    return;
+  // Solve the operand with more unresolved inner variables (PreferSecond
+  // breaks ties), the other one grounded. One operand per node keeps the
+  // pinning consistent: when the descent defines none of the solved
+  // operand's variables, undo the attempt's pins and solve the other.
+  unsigned N0 = D.unresolved(Ops[0]), N1 = D.unresolved(Ops[1]);
+  unsigned First = N0 != N1 ? N0 < N1 : D.PreferSecond;
+  for (unsigned Side : {First, 1 - First}) {
+    if (D.unresolved(Ops[Side]) == 0)
+      continue;
+    std::unordered_map<ExprId, PartialDef> Before = D.Defs;
+    Expr S = D.ground(Expr(Ops[1 - Side]));
+    unsigned Open = D.unresolved(Ops[Side]);
+    if (MaybeInverse Inv = Row->Invert(U, Side, T, S, Mask))
+      matchDefs(Expr(Ops[Side]), Inv->X, Inv->Mask, D, Depth - 1);
+    if (D.unresolved(Ops[Side]) < Open)
+      return;
+    D.Defs = std::move(Before);
   }
 }
 
@@ -172,9 +256,9 @@ void deriveEquationDefs(Expr Phi, const std::unordered_set<ExprId> &InnerVars,
     if (N.K == Kind::Eq)
       Eqs.push_back(Id);
   });
-  std::unordered_map<ExprId, PartialDef> Defs;
+  Derivation D{InnerVars, {}, PreferSecond};
   for (int Round = 0; Round < 4; ++Round) {
-    size_t Before = Defs.size();
+    size_t Before = D.Defs.size();
     for (ExprId EqId : Eqs) {
       for (int Side = 0; Side < 2; ++Side) {
         ExprId UId = ExprCtx::get().node(EqId).Ops[Side];
@@ -184,19 +268,18 @@ void deriveEquationDefs(Expr Phi, const std::unordered_set<ExprId> &InnerVars,
         if (U.isBool())
           continue;
         std::unordered_map<ExprId, Expr> Flat;
-        for (const auto &[Id, P] : Defs)
+        for (const auto &[Id, P] : D.Defs)
           Flat[Id] = P.Value;
         Expr TSub = substitute(T, Flat);
         if (mentionsAnyVar(TSub, InnerVars))
           continue;
-        matchDefs(U, TSub, BitVec::allOnes(U.width()), InnerVars, Defs, 12,
-                  PreferSecond);
+        matchDefs(U, TSub, BitVec::allOnes(U.width()), D, 12);
       }
     }
-    if (Defs.size() == Before)
+    if (D.Defs.size() == Before)
       break;
   }
-  for (const auto &[Id, P] : Defs)
+  for (const auto &[Id, P] : D.Defs)
     Out[Id] = P.Value;
 }
 
@@ -354,6 +437,8 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
   enum class Phase { FoundClean, Unsat, Unknown, Exhausted };
 
   std::vector<Expr> InstBlockings; // universal instantiations: globally sound
+  // Each inner variable's last witness and how often it changed.
+  std::unordered_map<ExprId, std::pair<BitVec, unsigned>> Witnesses;
   int DirtyRetries = Query.AvoidAppPrefixes.empty() ? 0 : 24;
 
   auto runPhase = [&](Solver &OuterSolver, unsigned MaxIterations) -> Phase {
@@ -468,17 +553,44 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
         Expr Var(V);
         BitVec Val = Witness.get(Var);
         InnerSubst[V] = Var.isBool() ? mkBool(!Val.isZero()) : mkBV(Val);
+        auto [It, First] = Witnesses.try_emplace(V, Val, 0);
+        if (!First && It->second.first != Val) {
+          It->second.first = Val;
+          ++It->second.second;
+        }
       }
       InstBlockings.push_back(mkNot(substitute(Phi, InnerSubst)));
     }
     return Phase::Exhausted;
   };
 
+  // An inconclusive search names its restless inner variables.
+  auto inconclusive = [&] {
+    if (Out.Iterations < 2)
+      return Out;
+    for (const auto &[V, W] : Witnesses)
+      if (W.second)
+        Out.WitnessChanges.push_back({V, W.second});
+    std::sort(Out.WitnessChanges.begin(), Out.WitnessChanges.end(),
+              [](const auto &A, const auto &B) {
+                return A.second != B.second ? A.second > B.second
+                                            : A.first < B.first;
+              });
+    return Out;
+  };
+
+  // What is left of the query's budget, for an outer solver built now.
+  auto remaining = [&] {
+    SolverBudget B = Budget;
+    B.TimeoutSec -= ProfSpan.seconds();
+    return B;
+  };
+
   // Phase A: bias toward all-zero inputs. Models found here are small and
   // readable, and exercise the exact (non-over-approximated) semantic
   // paths first. Only run when there are avoided apps to dodge.
   if (!Query.AvoidAppPrefixes.empty()) {
-    Solver ZeroSolver(Budget.MaxLiterals);
+    Solver ZeroSolver(remaining());
     for (Expr E : Outer)
       ZeroSolver.add(E);
     for (ExprId V : OuterVars) {
@@ -490,20 +602,23 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
                                   : mkEq(Var, mkBV(Var.width(), 0)));
     }
     Phase R = runPhase(ZeroSolver, 48);
-    if (R == Phase::FoundClean || R == Phase::Unknown)
+    if (R == Phase::FoundClean)
       return Out;
+    if (R == Phase::Unknown)
+      return inconclusive();
     // Unsat/Exhausted here only means "no zero-input counterexample".
   }
 
   // Phase B: the full search.
-  Solver OuterSolver(Budget.MaxLiterals);
+  Solver OuterSolver(remaining());
   for (Expr E : Outer)
     OuterSolver.add(E);
   Phase R = runPhase(OuterSolver, 512);
   switch (R) {
   case Phase::FoundClean:
-  case Phase::Unknown:
     return Out;
+  case Phase::Unknown:
+    return inconclusive();
   case Phase::Unsat:
   case Phase::Exhausted:
     // If a dirty model was remembered, the query IS satisfiable; report it
@@ -519,7 +634,7 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
     }
     Out.Res = SatResult::Unknown;
     Out.UnknownReason = Reason::QuantifierLimit;
-    return Out;
+    return inconclusive();
   }
   return Out;
 }

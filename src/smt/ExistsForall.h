@@ -75,6 +75,11 @@ struct EFOutcome {
   bool ApproxInvolved = false;
   /// Name of the involved application, when ApproxInvolved.
   std::string ApproxApp;
+  /// When Res == Unknown after two or more rounds: the inner variables
+  /// whose witness changed between consecutive rounds, with how often,
+  /// most restless first (ties by id). The variables CEGIS kept
+  /// enumerating are where instantiation did not generalize.
+  std::vector<std::pair<ExprId, unsigned>> WitnessChanges;
 };
 
 /// Decides the query within the budget. Uninterpreted applications anywhere

@@ -310,15 +310,26 @@ static Expr foldRules(Node &N) {
     break;
   }
   case Kind::Mul: {
-    BitVec V;
+    BitVec V, C;
     for (int Side = 0; Side < 2; ++Side) {
       ExprId X = Side ? B : A, Y = Side ? A : B;
-      if (getBVConst(X, V)) {
-        if (V.isZero())
-          return mkBV(V);
-        if (V.isOne())
-          return Expr(Y);
-      }
+      if (!getBVConst(X, V))
+        continue;
+      if (V.isZero())
+        return mkBV(V);
+      if (V.isOne())
+        return Expr(Y);
+      // (y * c1) * c2 -> y * (c1 * c2): an inverse t * c^-1 multiplied back
+      // by c folds to t here, not in the SAT search.
+      const Node &YN = node(Y);
+      if (YN.K != Kind::Mul)
+        continue;
+      for (int Inner = 0; Inner < 2; ++Inner)
+        if (getBVConst(YN.Ops[Inner], C)) {
+          ExprId Z = YN.Ops[1 - Inner];
+          Expr Product = mkBV(C.mul(V));
+          return mkMul(Expr(Z), Product);
+        }
     }
     break;
   }

@@ -16,10 +16,11 @@
 using namespace alive;
 using namespace alive::smt;
 
-Solver::Solver(size_t MaxLiterals)
+Solver::Solver(const SolverBudget &Budget)
     : Sat(std::make_unique<SatSolver>()),
       Blaster(std::make_unique<BitBlaster>(*Sat)) {
-  Blaster->setLiteralBudget(MaxLiterals);
+  Blaster->setLiteralBudget(Budget.MaxLiterals);
+  Blaster->setTimeBudget(Budget.TimeoutSec, Budget.Cancel);
 }
 
 Solver::~Solver() = default;
@@ -127,7 +128,7 @@ SolveOutcome Solver::check(const SolverBudget &Budget) {
   if (TriviallyUnsat) {
     Out.Res = SatResult::Unsat;
   } else if (Blaster->overBudget()) {
-    Out.UnknownReason = Reason::Memory;
+    Out.UnknownReason = Blaster->stopReason();
   } else {
     SatLimits Limits;
     Limits.TimeoutSec = Budget.TimeoutSec;
@@ -164,7 +165,7 @@ SolveOutcome Solver::check(const SolverBudget &Budget) {
 }
 
 SolveOutcome smt::checkSat(Expr E, const SolverBudget &Budget) {
-  Solver S(Budget.MaxLiterals);
+  Solver S(Budget);
   S.add(E);
   return S.check(Budget);
 }

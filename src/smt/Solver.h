@@ -109,10 +109,12 @@ private:
 /// Incremental quantifier-free solver over the Expr language.
 class Solver {
 public:
-  /// \p MaxLiterals caps the CNF literals bit-blasting may emit; past it,
-  /// check() answers Unknown with Reason::Memory without solving. Pass the
-  /// SolverBudget::MaxLiterals of the checks this solver will run.
-  explicit Solver(size_t MaxLiterals = SolverBudget().MaxLiterals);
+  /// Bit-blasting honours the budget of the checks this solver will run:
+  /// past \p Budget.MaxLiterals emitted literals, past \p Budget.TimeoutSec
+  /// from construction, or once \p Budget.Cancel reads true, it stops, and
+  /// check() answers Unknown (Reason::Memory, Timeout or Cancelled) without
+  /// searching.
+  explicit Solver(const SolverBudget &Budget = SolverBudget());
   ~Solver();
 
   Solver(const Solver &) = delete;

@@ -173,6 +173,22 @@ Event &Event::numI(const char *Key, int64_t Value) {
   return *this;
 }
 
+Event &Event::strs(const char *Key, const std::vector<std::string> &Values) {
+  if (!On)
+    return *this;
+  key(Key);
+  Buf += '[';
+  for (size_t I = 0; I < Values.size(); ++I) {
+    if (I)
+      Buf += ',';
+    Buf += '"';
+    Buf += jsonEscape(Values[I]);
+    Buf += '"';
+  }
+  Buf += ']';
+  return *this;
+}
+
 Event &Event::flag(const char *Key, bool Value) {
   if (!On)
     return *this;

@@ -37,6 +37,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <vector>
 
 namespace alive::prof {
 struct Tally;
@@ -75,6 +76,9 @@ public:
   Event &operator=(const Event &) = delete;
 
   Event &str(const char *Key, std::string_view Value);
+  /// A list of strings: the one non-scalar field kind (the query event's
+  /// restless_reads).
+  Event &strs(const char *Key, const std::vector<std::string> &Values);
   Event &num(const char *Key, double Value);
   Event &flag(const char *Key, bool Value);
   /// Adds every effort key of \p T (prof::Tally::forEach).

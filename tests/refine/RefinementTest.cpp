@@ -7,6 +7,7 @@
 // (Sections 2, 8.2, 8.4) plus directed coverage of every staged check.
 //===----------------------------------------------------------------------===//
 
+#include "corpus/Corpus.h"
 #include "refine/Refinement.h"
 #include "refine/Validator.h"
 #include "ir/Parser.h"
@@ -482,28 +483,28 @@ entry:
   EXPECT_TRUE(SawVerdict);
 }
 
+/// The pinned undef pair: the source returns 3 * undef + %a, the target
+/// undef, at width \p W.
+std::pair<std::string, std::string> undefPair(unsigned W) {
+  std::string Ty = "i" + std::to_string(W);
+  return {"define " + Ty + " @f(" + Ty + " %a) {\nentry:\n  %x = mul " + Ty +
+              " undef, 3\n  %y = add " + Ty + " %x, %a\n  ret " + Ty +
+              " %y\n}\n",
+          "define " + Ty + " @f(" + Ty + " %a) {\nentry:\n  ret " + Ty +
+              " undef\n}\n"};
+}
+
 TEST(Refine, QueryEventsMatchQueryStats) {
   // The "query" event and the QueryStats record are read from the same
-  // staged_query span; the undef pair takes 16 CEGIS rounds in one query.
-  const char *Src = R"(
-define i4 @f(i4 %a) {
-entry:
-  %x = mul i4 undef, 3
-  %y = add i4 %x, %a
-  ret i4 %y
-}
-)";
-  const char *Tgt = R"(
-define i4 @f(i4 %a) {
-entry:
-  ret i4 undef
-}
-)";
+  // staged_query span. Without instantiation seeds the undef pair's
+  // return-value query takes 16 CEGIS rounds.
+  auto [Src, Tgt] = undefPair(4);
   Options O;
   O.Cache = CachePolicy::disabled();
+  O.UseInstantiationSeeds = false;
   std::ostringstream Sink;
   trace::setStream(&Sink);
-  Verdict V = check(Src, Tgt, O);
+  Verdict V = check(Src.c_str(), Tgt.c_str(), O);
   trace::setStream(nullptr);
   EXPECT_CORRECT(V);
 
@@ -537,15 +538,75 @@ entry:
     EXPECT_NEAR(field(E, "solver_seconds"), Q.SolverSeconds,
                 1e-8 * Q.SolverSeconds);
     EXPECT_NEAR(field(E, "seconds"), Q.Seconds, 1e-8 * Q.Seconds);
+    EXPECT_NE(E.find("\"restless_reads\":[]"), std::string::npos) << E;
   }
   EXPECT_TRUE(SawRounds);
+}
+
+TEST(Refine, InconclusiveQueryNamesRestlessReads) {
+  // Without instantiation seeds, CEGIS enumerates the undef pair at i16 one
+  // witness per round up to the round cap. The query names the reads whose
+  // witness kept changing: the undef constant that %x reads.
+  auto [Src, Tgt] = undefPair(16);
+  Options O;
+  O.Cache = CachePolicy::disabled();
+  O.UseInstantiationSeeds = false;
+  Verdict V = check(Src.c_str(), Tgt.c_str(), O);
+  EXPECT_EQ(V.Kind, VerdictKind::Timeout) << V.kindName();
+  EXPECT_EQ(V.Why, Reason::QuantifierLimit);
+  ASSERT_FALSE(V.Queries.empty());
+  const QueryStats &Q = V.Queries.back();
+  EXPECT_EQ(Q.EFIterations, 512u);
+  ASSERT_FALSE(Q.RestlessReads.empty());
+  EXPECT_LE(Q.RestlessReads.size(), 3u);
+  bool NamesUndef = false;
+  for (const std::string &R : Q.RestlessReads)
+    NamesUndef |= R.rfind("undef(%x)", 0) == 0;
+  EXPECT_TRUE(NamesUndef) << Q.RestlessReads[0];
+  for (size_t I = 0; I + 1 < V.Queries.size(); ++I)
+    EXPECT_TRUE(V.Queries[I].RestlessReads.empty());
+}
+
+TEST(Refine, SeedsPairReadsOfTheSameThing) {
+  // Each pair's return-value query is decided in one CEGIS round; seeds
+  // paired by creation order alone need 256 rounds or hit the 512-round
+  // cap. reassoc-drop-nsw-ok reads %b and %c in swapped order; the undef
+  // pair needs the mul row of the invertibility table; gen0's ret moved to
+  // entry; gen1 returns undef + lshr(...), where solving the lshr operand
+  // defines nothing and the undef operand is solved instead.
+  std::vector<std::pair<std::string, std::string>> Pairs;
+  for (const corpus::TestPair &P : corpus::unitTestSuite())
+    if (P.Name == "reassoc-drop-nsw-ok")
+      Pairs.push_back({P.SrcIR, P.TgtIR});
+  Pairs.push_back(undefPair(8));
+  Pairs.push_back({corpus::generatedSuite(10, 0x0f948c76c2b89f16ull)[0].SrcIR,
+                   corpus::generatedSuite(10, 0x0f948c76c2b89f16ull)[0].TgtIR});
+  Pairs.push_back({corpus::generatedSuite(10, 0x71a027b4417f169aull)[1].SrcIR,
+                   corpus::generatedSuite(10, 0x71a027b4417f169aull)[1].TgtIR});
+  ASSERT_EQ(Pairs.size(), 4u);
+  Options O;
+  O.Cache = CachePolicy::disabled();
+  O.UnrollFactor = 8;
+  for (size_t I = 0; I < Pairs.size(); ++I) {
+    SCOPED_TRACE(I);
+    Verdict V = check(Pairs[I].first.c_str(), Pairs[I].second.c_str(), O);
+    EXPECT_CORRECT(V);
+    bool SawReturn = false;
+    for (const QueryStats &Q : V.Queries)
+      if (Q.Check.rfind("target's return value", 0) == 0) {
+        SawReturn = true;
+        EXPECT_EQ(Q.EFIterations, 1u) << Q.Check;
+      }
+    EXPECT_TRUE(SawReturn);
+  }
 }
 
 TEST(Refine, StagedQueryEffortIsPinned) {
   // The exact effort of every staged query of two pairs. The memory pair
   // sends mem0/localinit applications through both Ackermannizations (the
   // step-1 solver's and the exists-forall engine's) and its seeds rename
-  // applications; the undef pair takes 16 CEGIS rounds. The query path
+  // applications; the undef pair's return-value query is decided in one
+  // CEGIS round by the mul row of the invertibility table. The query path
   // must not change the search; a change that means to updates these
   // numbers on purpose.
   struct Record {
@@ -627,29 +688,16 @@ exit:
        {"target's memory is more specific", Unsat, 1, 1, 10, 2269, 6187,
         36935}});
 
-  const char *UndefSrc = R"(
-define i4 @f(i4 %a) {
-entry:
-  %x = mul i4 undef, 3
-  %y = add i4 %x, %a
-  ret i4 %y
-}
-)";
-  const char *UndefTgt = R"(
-define i4 @f(i4 %a) {
-entry:
-  ret i4 undef
-}
-)";
+  auto [UndefSrc, UndefTgt] = undefPair(4);
   expectEffort(
-      UndefSrc, UndefTgt,
+      UndefSrc.c_str(), UndefTgt.c_str(),
       {{"precondition", Sat, 1, 0, 0, 0, 0, 0},
        {"target is more undefined than source", Unsat, 0, 1, 0, 0, 0, 0},
        {"target returns when source cannot", Unsat, 0, 1, 0, 0, 0, 0},
        {"target is more poisonous than source (lane 0)", Unsat, 0, 1, 0, 0, 0,
         0},
-       {"target's return value is more specific (lane 0)", Unsat, 31, 16, 27,
-        363, 3903, 878},
+       {"target's return value is more specific (lane 0)", Unsat, 1, 1, 98,
+        128, 2834, 653},
        {"target's memory is more specific", Unsat, 0, 1, 0, 0, 0, 0}});
 }
 

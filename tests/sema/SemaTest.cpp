@@ -11,8 +11,11 @@
 #include "ir/Parser.h"
 #include "sema/Encoder.h"
 #include "smt/Solver.h"
+#include "transform/Unroll.h"
 
 #include "gtest/gtest.h"
+
+#include <map>
 
 using namespace alive;
 using namespace alive::sema;
@@ -393,6 +396,53 @@ r:
       encodeFunction(*F, L, Sinks, EncodeOptions{"src", false});
   EXPECT_FALSE(evaluate(E2.UB, MZero).low64());
   EXPECT_TRUE(evaluate(E2.SinkDomain, MZero).low64());
+}
+
+TEST(Sema, ReadPathsNameEachRead) {
+  // Every nondeterministic variable has a read path: its root (an argument,
+  // an undef constant keyed by its reader, a freeze choice, a block size)
+  // and the instructions that re-read it. A loop unrolled twice extends the
+  // chains through the copies, and each path is interned once, as its
+  // parent plus one step.
+  resetContext();
+  auto M = ir::parseModuleOrDie(R"(
+define i8 @f(i8 %a, i8 %n) {
+entry:
+  %x = add i8 %a, undef
+  %f = freeze i8 %x
+  br label %loop
+loop:
+  %i = phi i8 [ 0, %entry ], [ %i1, %loop ]
+  %i1 = add i8 %i, %a
+  %c = icmp ult i8 %i1, %n
+  br i1 %c, label %loop, label %exit
+exit:
+  %r = add i8 %f, %i1
+  ret i8 %r
+}
+)");
+  std::unique_ptr<ir::Function> F = M->function(0)->clone();
+  transform::UnrollResult U = transform::unrollLoops(*F, 2);
+  MemoryLayout L = MemoryLayout::compute(*F, *F, M.get());
+  FunctionEncoding E =
+      encodeFunction(*F, L, U.Sinks, EncodeOptions{"src", false});
+  ASSERT_EQ(E.NondetPaths.size(), E.NondetOrder.size());
+  std::map<std::string, unsigned> Ids;
+  for (unsigned P : E.NondetPaths)
+    Ids[E.Paths.render(P)] = P;
+  for (const char *Want :
+       {"blocksize.1", "%a", "%n", "%a > %x", "undef(%x)", "%a > %x > %f",
+        "undef(%x) > %f", "freeze(%f)", "%a > %i1 > %c > br",
+        "%n > %c > br", "%a > %i1.l0u2 > %c.l0u2 > br",
+        "%a > %i1 > %i.l0u2 > %i1.l0u2 > %c.l0u2 > br"})
+    EXPECT_TRUE(Ids.count(Want)) << Want;
+  unsigned Deep = Ids["%a > %i1 > %i.l0u2 > %i1.l0u2 > %c.l0u2 > br"];
+  EXPECT_EQ(E.Paths.parent(Deep),
+            Ids["%a > %i1 > %i.l0u2 > %i1.l0u2 > %c.l0u2"]);
+  EXPECT_EQ(E.Paths.root(Deep), Ids["%a"]);
+  EXPECT_EQ(E.Paths.key(Deep), "br");
+  EXPECT_EQ(E.Paths.root(Ids["undef(%x) > %f"]), Ids["undef(%x)"]);
+  EXPECT_EQ(E.Paths.size(), Ids.size());
 }
 
 TEST(Sema, FcmpClassification) {

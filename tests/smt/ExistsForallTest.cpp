@@ -145,6 +145,78 @@ TEST(ExistsForall, TrivialInnerTrue) {
   EXPECT_EQ(solveExistsForall(Q, SolverBudget()).Res, SatResult::Unsat);
 }
 
+/// "not exists Inner . Phi" under \p Outer holds (Unsat). Solving Phi's
+/// equation through one row of the invertibility table decides it in one
+/// CEGIS round; plain CEGIS, which blocks one witness per round, needs more.
+void expectOneRound(std::vector<Expr> Outer, Expr Phi,
+                    std::unordered_set<ExprId> Inner) {
+  EFQuery Q;
+  Q.Outer = std::move(Outer);
+  Q.Inner = Phi;
+  Q.InnerVars = std::move(Inner);
+  EFOutcome R = solveExistsForall(Q, SolverBudget());
+  EXPECT_EQ(R.Res, SatResult::Unsat);
+  EXPECT_EQ(R.Iterations, 1u);
+  Q.DeriveEquationDefs = false;
+  EFOutcome Plain = solveExistsForall(Q, SolverBudget());
+  EXPECT_NE(Plain.Res, SatResult::Sat);
+  EXPECT_GT(Plain.Iterations, 1u);
+}
+
+TEST(ExistsForall, InvertsAdd) {
+  Expr I = mkFreshVar("I", 8), O = mkFreshVar("O", 8), N = mkFreshVar("N", 8);
+  expectOneRound({}, mkEq(mkAdd(N, I), O), {N.id()});
+}
+
+TEST(ExistsForall, InvertsXor) {
+  Expr I = mkFreshVar("I", 8), O = mkFreshVar("O", 8), N = mkFreshVar("N", 8);
+  expectOneRound({}, mkEq(mkBVXor(I, N), O), {N.id()});
+}
+
+TEST(ExistsForall, InvertsAndOr) {
+  // n & i = o has a solution when o's bits are within i's (o = i & j), and
+  // n | i = o when i's bits are within o's (o = i | j); n := o solves both.
+  Expr I = mkFreshVar("I", 8), J = mkFreshVar("J", 8), O = mkFreshVar("O", 8),
+       N = mkFreshVar("N", 8);
+  expectOneRound({mkEq(O, mkBVAnd(I, J))}, mkEq(mkBVAnd(N, I), O), {N.id()});
+  expectOneRound({mkEq(O, mkBVOr(I, J))}, mkEq(mkBVOr(I, N), O), {N.id()});
+}
+
+TEST(ExistsForall, InvertsMulByOddConstant) {
+  // n := o * 3^-1; Simplify folds (o * 171) * 3 back to o.
+  Expr O = mkFreshVar("O", 8), N = mkFreshVar("N", 8);
+  expectOneRound({}, mkEq(mkMul(N, mkBV(8, 3)), O), {N.id()});
+}
+
+TEST(ExistsForall, InvertsShiftsByConstant) {
+  Expr I = mkFreshVar("I", 8), O = mkFreshVar("O", 8), N = mkFreshVar("N", 8);
+  Expr K = mkBV(8, 3);
+  expectOneRound({mkEq(O, mkShl(I, K))}, mkEq(mkShl(N, K), O), {N.id()});
+  expectOneRound({mkEq(O, mkLShr(I, K))}, mkEq(mkLShr(N, K), O), {N.id()});
+  expectOneRound({mkEq(O, mkAShr(I, K))}, mkEq(mkAShr(N, K), O), {N.id()});
+}
+
+TEST(ExistsForall, InvertsNot) {
+  Expr O = mkFreshVar("O", 8), N = mkFreshVar("N", 8);
+  expectOneRound({}, mkEq(mkBVNot(N), O), {N.id()});
+}
+
+TEST(ExistsForall, InvertsExtractAndConcat) {
+  // extract(n, 4, 4) = o sets bits 4..7 of n; concat(h, l) = o sets both
+  // halves.
+  Expr O4 = mkFreshVar("O", 4), N = mkFreshVar("N", 8);
+  expectOneRound({}, mkEq(mkExtract(N, 4, 4), O4), {N.id()});
+  Expr O = mkFreshVar("O", 8), H = mkFreshVar("H", 4), L = mkFreshVar("L", 4);
+  expectOneRound({}, mkEq(mkConcat(H, L), O), {H.id(), L.id()});
+}
+
+TEST(ExistsForall, InvertsIteArms) {
+  // Either arm may be taken: n := o and m := o make ite(c, n, m) = o.
+  Expr O = mkFreshVar("O", 8), C = mkFreshVar("C", 0), N = mkFreshVar("N", 8),
+       M = mkFreshVar("M", 8);
+  expectOneRound({}, mkEq(mkIte(C, N, M), O), {C.id(), N.id(), M.id()});
+}
+
 TEST(ExistsForall, TimeBudgetRespected) {
   Expr X = mkFreshVar("x", 24), Y = mkFreshVar("y", 24);
   EFQuery Q;

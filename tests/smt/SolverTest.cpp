@@ -140,6 +140,32 @@ TEST(Solver, LiteralBudgetStopsBitBlasting) {
   EXPECT_EQ(Check.effort().SatChecks, 0u);
 }
 
+TEST(Solver, BitBlastingStopsAtTheTimeBudget) {
+  // The time budget reaches the bit-blaster too: it polls the clock every
+  // 2^12 clauses, so under a spent budget a formula of more than 10^5
+  // clauses stops at the first poll, and the check answers Timeout before
+  // the SAT search starts.
+  Expr Prod = mkFreshVar("x", 64);
+  for (int I = 0; I < 3; ++I)
+    Prod = mkMul(Prod, mkFreshVar("y", 64));
+  Expr F = mkEq(Prod, mkBV(64, 12345));
+  {
+    Solver Unbounded;
+    Unbounded.add(F);
+    ASSERT_GT(Unbounded.numClauses(), 100000u);
+  }
+  SolverBudget B;
+  B.TimeoutSec = 0;
+  Solver S(B);
+  S.add(F);
+  EXPECT_LT(S.numClauses(), 1u << 13);
+  prof::Span Check("check");
+  SolveOutcome R = S.check(B);
+  ASSERT_TRUE(R.isUnknown());
+  EXPECT_EQ(R.UnknownReason, support::Reason::Timeout);
+  EXPECT_EQ(Check.effort().SatChecks, 0u);
+}
+
 TEST(Solver, BitBlastedSearchEffortIsPinned) {
   // The exact effort of a fixed bit-blasted query: 5-bit distributivity,
   // valid, so the check is Unsat after a search that passes one reduction

@@ -69,7 +69,7 @@ static void printPairJson(const std::string &Name, const refine::Verdict &V) {
                 "\"sat_checks\": %u, \"ef_iterations\": %u, "
                 "\"conflicts\": %llu, \"decisions\": %llu, "
                 "\"propagations\": %llu, \"clauses\": %zu, "
-                "\"cache_hit\": %s}",
+                "\"cache_hit\": %s, \"restless_reads\": [",
                 FirstQ ? "" : ",", trace::jsonEscape(Q.Check).c_str(),
                 trace::jsonEscape(refine::toString(Q.Result)).c_str(),
                 Q.Seconds,
@@ -78,6 +78,10 @@ static void printPairJson(const std::string &Name, const refine::Verdict &V) {
                 (unsigned long long)Q.Decisions,
                 (unsigned long long)Q.Propagations, Q.Clauses,
                 Q.CacheHit ? "true" : "false");
+    for (size_t I = 0; I < Q.RestlessReads.size(); ++I)
+      std::printf("%s\"%s\"", I ? ", " : "",
+                  trace::jsonEscape(Q.RestlessReads[I]).c_str());
+    std::printf("]}");
     FirstQ = false;
   }
   std::printf("%s]}", FirstQ ? "" : "\n    ");

@@ -6,9 +6,11 @@ Two artifact kinds, both produced by every alive-* tool:
   --jsonl FILE   a JSONL pipeline trace (--trace-out): every line must be a
                  flat JSON object carrying the mandatory "event", "t" and
                  "tid" fields (and "span" since the profiling subsystem);
-                 values must be scalars (nesting is unsupported by design),
-                 and "sat_check" / "ef_query" / "query" events must carry
-                 every effort key as a non-negative number.
+                 values must be scalars (nesting is unsupported by design)
+                 except the "query" event's "restless_reads", a list of
+                 strings it must carry; "sat_check" / "ef_query" / "query"
+                 events must carry every effort key as a non-negative
+                 number.
 
   --chrome FILE  a Chrome trace-event profile (--profile-out): the document
                  must hold a "traceEvents" list whose entries carry the
@@ -44,6 +46,10 @@ EFFORT_KEYS = ("solver_seconds", "sat_checks", "conflicts", "decisions",
                "propagations", "restarts", "rewrites", "clauses")
 EFFORT_EVENTS = {"sat_check", "ef_query", "query"}
 
+# The one list-valued field: the read paths a "query" event names as the
+# reason it was inconclusive (empty when it was not).
+LIST_FIELDS = {("query", "restless_reads")}
+
 
 def fail(errors, msg):
     errors.append(msg)
@@ -61,6 +67,12 @@ def check_event_fields(path, lineno, obj, errors):
                     or value < 0):
                 fail(errors, f"{where}: {kind} event needs non-negative "
                      f"numeric '{key}'")
+    if kind == "query":
+        reads = obj.get("restless_reads")
+        if (not isinstance(reads, list)
+                or not all(isinstance(r, str) for r in reads)):
+            fail(errors, f"{where}: query event needs a list of strings "
+                 "'restless_reads'")
     if kind == "verdict":
         if "reason" not in obj or "rung" not in obj:
             fail(errors, f"{where}: verdict event missing 'reason'/'rung'")
@@ -113,7 +125,8 @@ def check_jsonl(path, errors):
             if "span" in obj and not isinstance(obj["span"], int):
                 fail(errors, f"{path}:{lineno}: 'span' must be an integer")
             for key, value in obj.items():
-                if isinstance(value, (dict, list)):
+                if (isinstance(value, (dict, list))
+                        and (obj.get("event"), key) not in LIST_FIELDS):
                     fail(errors,
                          f"{path}:{lineno}: nested value under '{key}' "
                          "(trace values must be flat scalars)")
