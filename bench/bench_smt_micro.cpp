@@ -69,7 +69,7 @@ static void BM_ExistsForallMax(benchmark::State &State) {
     EFQuery Q;
     Q.Inner = mkUgt(Y, X);
     Q.InnerVars = {Y.id()};
-    EFOutcome R = solveExistsForall(Q, SolverBudget());
+    EFOutcome R = solveExistsForall(Q, TimeLimit());
     if (R.Res != SatResult::Sat)
       State.SkipWithError("expected sat");
   }

@@ -28,9 +28,6 @@ public:
   const ir::Function &function() const { return F; }
 
   const std::vector<ir::BasicBlock *> &preds(const ir::BasicBlock *BB) const;
-  std::vector<ir::BasicBlock *> succs(const ir::BasicBlock *BB) const {
-    return BB->successors();
-  }
 
   /// Blocks reachable from entry, in reverse post-order (entry first).
   const std::vector<ir::BasicBlock *> &rpo() const { return Rpo; }

@@ -178,13 +178,6 @@ Loop *LoopForest::loopFor(const BasicBlock *BB) const {
   return It == Innermost.end() ? nullptr : It->second;
 }
 
-Loop *LoopForest::loopWithHeader(const BasicBlock *BB) const {
-  for (const auto &L : Loops)
-    if (L->Header == BB)
-      return L.get();
-  return nullptr;
-}
-
 std::vector<Loop *> LoopForest::postOrder() const {
   std::vector<Loop *> Out;
   std::vector<std::pair<Loop *, bool>> Stack;

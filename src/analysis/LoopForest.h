@@ -54,8 +54,6 @@ public:
   const std::vector<Loop *> &topLevel() const { return TopLevel; }
   /// Innermost loop containing \p BB, or null.
   Loop *loopFor(const ir::BasicBlock *BB) const;
-  /// Loop headed exactly by \p BB, or null.
-  Loop *loopWithHeader(const ir::BasicBlock *BB) const;
   unsigned numLoops() const { return (unsigned)Loops.size(); }
   bool hasIrreducible() const { return Irreducible; }
 

@@ -157,10 +157,9 @@ public:
   Function *function(unsigned I) const { return Functions[I].get(); }
   Function *functionByName(const std::string &Name) const;
 
-  GlobalVar *addGlobal(std::string Name, const Type *ValueTy, bool Constant,
-                       Value *Init = nullptr) {
+  GlobalVar *addGlobal(std::string Name, const Type *ValueTy, bool Constant) {
     Globals.emplace_back(
-        std::make_unique<GlobalVar>(std::move(Name), ValueTy, Constant, Init));
+        std::make_unique<GlobalVar>(std::move(Name), ValueTy, Constant));
     return Globals.back().get();
   }
   unsigned numGlobals() const { return (unsigned)Globals.size(); }

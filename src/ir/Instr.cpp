@@ -85,57 +85,6 @@ const char *ICmp::predName(Pred P) {
   return "?";
 }
 
-ICmp::Pred ICmp::swappedPred(Pred P) {
-  switch (P) {
-  case Pred::EQ:
-  case Pred::NE:
-    return P;
-  case Pred::UGT:
-    return Pred::ULT;
-  case Pred::UGE:
-    return Pred::ULE;
-  case Pred::ULT:
-    return Pred::UGT;
-  case Pred::ULE:
-    return Pred::UGE;
-  case Pred::SGT:
-    return Pred::SLT;
-  case Pred::SGE:
-    return Pred::SLE;
-  case Pred::SLT:
-    return Pred::SGT;
-  case Pred::SLE:
-    return Pred::SGE;
-  }
-  return P;
-}
-
-ICmp::Pred ICmp::invertedPred(Pred P) {
-  switch (P) {
-  case Pred::EQ:
-    return Pred::NE;
-  case Pred::NE:
-    return Pred::EQ;
-  case Pred::UGT:
-    return Pred::ULE;
-  case Pred::UGE:
-    return Pred::ULT;
-  case Pred::ULT:
-    return Pred::UGE;
-  case Pred::ULE:
-    return Pred::UGT;
-  case Pred::SGT:
-    return Pred::SLE;
-  case Pred::SGE:
-    return Pred::SLT;
-  case Pred::SLT:
-    return Pred::SGE;
-  case Pred::SLE:
-    return Pred::SGT;
-  }
-  return P;
-}
-
 const char *FCmp::predName(Pred P) {
   switch (P) {
   case Pred::OEQ:

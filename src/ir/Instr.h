@@ -171,8 +171,6 @@ public:
 
   Pred pred() const { return P; }
   static const char *predName(Pred P);
-  static Pred swappedPred(Pred P);
-  static Pred invertedPred(Pred P);
 
   Instr *clone() const override {
     return new ICmp(P, name(), Ops[0], Ops[1], type());

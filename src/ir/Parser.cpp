@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -91,6 +92,8 @@ private:
   void parseDeclare();
   void parseDefine();
   void parseBlockBody();
+  /// \returns the new instruction, or null. After an error it may return
+  /// one built before the error; the caller frees it.
   Instr *parseInstruction(std::string ResultName);
   BinOp::Flags parseIntFlags(BinOp::Op O);
   FBinOp::FastMathFlags parseFMF();
@@ -498,10 +501,11 @@ void ParserImpl::parseBlockBody() {
       if (!expectPunct('='))
         return;
     }
-    Instr *I = parseInstruction(std::move(ResultName));
+    // Owned until appended, so one built before an error is freed.
+    std::unique_ptr<Instr> Owned(parseInstruction(std::move(ResultName)));
     if (Failed)
       return;
-    CurBB->append(I);
+    Instr *I = CurBB->append(Owned.release());
     if (!I->name().empty()) {
       if (Values.count(I->name())) {
         errorHere("duplicate definition of %" + I->name());
@@ -774,10 +778,6 @@ Instr *ParserImpl::parseInstruction(std::string ResultName) {
       if (!consumePunct(','))
         break;
     }
-    if (Failed) {
-      delete P;
-      return nullptr;
-    }
     return P;
   }
 
@@ -827,28 +827,22 @@ Instr *ParserImpl::parseInstruction(std::string ResultName) {
       return nullptr;
     }
     auto *S = new Switch(C, blockRef(DefTok.Text));
-    if (!expectPunct('[')) {
-      delete S;
-      return nullptr;
-    }
+    if (!expectPunct('['))
+      return S;
     while (!consumePunct(']')) {
       Token NumTok = Lex.next();
       BitVec CaseV;
       if (!NumTok.is(Token::Kind::Number) ||
           !BitVec::fromString(Ty->intWidth(), NumTok.Text, CaseV)) {
         error(NumTok, "expected case value");
-        delete S;
-        return nullptr;
+        return S;
       }
-      if (!expectPunct(',') || !expectWord("label")) {
-        delete S;
-        return nullptr;
-      }
+      if (!expectPunct(',') || !expectWord("label"))
+        return S;
       Token BBTok = Lex.next();
       if (!BBTok.is(Token::Kind::LocalId)) {
         error(BBTok, "expected case label");
-        delete S;
-        return nullptr;
+        return S;
       }
       S->addCase(std::move(CaseV), blockRef(BBTok.Text));
     }

@@ -203,10 +203,9 @@ private:
 /// A global variable: a named memory block that exists on function entry.
 class GlobalVar final : public Value {
 public:
-  GlobalVar(std::string Name, const Type *ValueTy, bool Constant,
-            Value *Init = nullptr)
+  GlobalVar(std::string Name, const Type *ValueTy, bool Constant)
       : Value(ValueKind::GlobalVar, Type::getPtr(), std::move(Name)),
-        ValueTy(ValueTy), Constant(Constant), Init(Init) {}
+        ValueTy(ValueTy), Constant(Constant) {}
 
   static bool classof(const Value *V) {
     return V->kind() == ValueKind::GlobalVar;
@@ -216,12 +215,10 @@ public:
   unsigned sizeBytes() const { return ValueTy->storeSize(); }
   /// True for read-only globals (stores to it are UB).
   bool isConstant() const { return Constant; }
-  Value *init() const { return Init; }
 
 private:
   const Type *ValueTy;
   bool Constant;
-  Value *Init;
 };
 
 /// LLVM-style casting helpers.

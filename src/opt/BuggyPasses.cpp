@@ -19,29 +19,6 @@ using namespace alive::ir;
 
 namespace {
 
-/// Walks and rewrites like the correct passes do.
-template <typename Fn> bool rewriteAll(Function &F, Fn Rewrite) {
-  bool Changed = false;
-  for (unsigned BI = 0; BI < F.numBlocks(); ++BI) {
-    BasicBlock *BB = F.block(BI);
-    for (unsigned Idx = 0; Idx < BB->size(); ++Idx) {
-      Instr *I = BB->instr(Idx);
-      Value *New = Rewrite(F, BB, Idx, I);
-      if (!New || New == I)
-        continue;
-      replaceAllUses(F, I, New);
-      for (unsigned K = 0; K < BB->size(); ++K)
-        if (BB->instr(K) == I) {
-          BB->erase(K);
-          break;
-        }
-      --Idx;
-      Changed = true;
-    }
-  }
-  return Changed;
-}
-
 /// Section 8.2's top class (43 cases): folds that are wrong when undef is
 /// an operand: "and undef, c -> undef" (the and can only produce subsets of
 /// c's bits), "mul undef, c -> undef" (only multiples of c), and
@@ -53,7 +30,7 @@ class UndefFoldBug final : public Pass {
 public:
   const char *name() const override { return "bug-undef-fold"; }
   bool run(Function &F) override {
-    return rewriteAll(
+    return rewriteInstructions(
         F, [](Function &Fn, BasicBlock *, unsigned, Instr *I) -> Value * {
           auto *B = dyn_cast<BinOp>(I);
           if (!B)
@@ -81,7 +58,7 @@ class SelectArithBug final : public Pass {
 public:
   const char *name() const override { return "bug-select-arith"; }
   bool run(Function &F) override {
-    return rewriteAll(
+    return rewriteInstructions(
         F,
         [](Function &Fn, BasicBlock *BB, unsigned Idx, Instr *I) -> Value * {
           auto *S = dyn_cast<Select>(I);
@@ -199,7 +176,7 @@ public:
     // The reassociation's output matches its own pattern, so fire it at
     // most once per run.
     bool Reassociated = false;
-    return rewriteAll(
+    return rewriteInstructions(
         F,
         [&Reassociated](Function &Fn, BasicBlock *BB, unsigned Idx,
                         Instr *I) -> Value * {
@@ -244,7 +221,7 @@ class FastMathBug final : public Pass {
 public:
   const char *name() const override { return "bug-fastmath"; }
   bool run(Function &F) override {
-    return rewriteAll(
+    return rewriteInstructions(
         F, [](Function &Fn, BasicBlock *, unsigned, Instr *I) -> Value * {
           auto *B = dyn_cast<FBinOp>(I);
           if (!B || B->getOp() != FBinOp::Op::FAdd)
@@ -264,7 +241,7 @@ class BitcastNanBug final : public Pass {
 public:
   const char *name() const override { return "bug-bitcast-nan"; }
   bool run(Function &F) override {
-    return rewriteAll(
+    return rewriteInstructions(
         F, [](Function &Fn, BasicBlock *, unsigned, Instr *I) -> Value * {
           auto *C = dyn_cast<Cast>(I);
           if (!C || C->getOp() != Cast::Op::BitCast || !C->type()->isFP())

@@ -40,35 +40,6 @@ bool isAllOnesConst(Value *V) {
   return false;
 }
 
-/// Walks instructions applying a rewrite callback; replaced instructions'
-/// uses are redirected and the instruction is erased.
-template <typename Fn> bool rewriteInstructions(Function &F, Fn Rewrite) {
-  bool Changed = false;
-  for (unsigned BI = 0; BI < F.numBlocks(); ++BI) {
-    BasicBlock *BB = F.block(BI);
-    for (unsigned Idx = 0; Idx < BB->size(); ++Idx) {
-      Instr *I = BB->instr(Idx);
-      Value *New = Rewrite(F, BB, Idx, I);
-      if (!New || New == I)
-        continue;
-      replaceAllUses(F, I, New);
-      // Keep the original around only if the replacement was inserted
-      // before it and we can delete the old instruction.
-      if (!I->isTerminator()) {
-        // Re-find the index: the rewrite may have inserted instructions.
-        for (unsigned K = 0; K < BB->size(); ++K)
-          if (BB->instr(K) == I) {
-            BB->erase(K);
-            break;
-          }
-        --Idx;
-      }
-      Changed = true;
-    }
-  }
-  return Changed;
-}
-
 /// InstSimplify: rewrites whose result is an existing value or constant.
 class InstSimplifyPass final : public Pass {
 public:

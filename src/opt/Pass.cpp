@@ -60,16 +60,6 @@ unsigned opt::removeDeadInstructions(Function &F) {
   return Removed;
 }
 
-std::vector<std::string> opt::allPassNames() {
-  return {"instcombine",  "instsimplify", "constfold",
-          "dce",          "simplifycfg",  "gvn",
-          "slp",
-          "bug-undef-fold", "bug-select-arith", "bug-branch-on-undef",
-          "bug-vector",   "bug-arith",    "bug-fastmath",
-          "bug-bitcast-nan", "bug-dse",   "bug-call-dup",
-          "bug-slp-nsw"};
-}
-
 std::vector<std::string> opt::defaultPipeline() {
   return {"instsimplify", "instcombine", "constfold",
           "gvn",          "dce",         "simplifycfg"};

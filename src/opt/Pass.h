@@ -41,8 +41,6 @@ public:
 ///   bug-arith, bug-fastmath, bug-bitcast-nan, bug-dse, bug-call-dup
 std::unique_ptr<Pass> createPass(const std::string &Name);
 
-/// All known pass names (correct first, then buggy).
-std::vector<std::string> allPassNames();
 /// The default -O2-style pipeline used by the application experiment.
 std::vector<std::string> defaultPipeline();
 
@@ -61,6 +59,35 @@ void runPipeline(ir::Module &M, const std::vector<std::string> &PassNames,
 
 /// Replaces every use of \p From with \p To in \p F (operands and phis).
 void replaceAllUses(ir::Function &F, ir::Value *From, ir::Value *To);
+
+/// Walks \p F's instructions applying \p Rewrite(F, BB, Idx, I). When it
+/// returns a value other than null or I, I's uses are redirected to it and
+/// I is erased, unless I is a terminator, which stays.
+template <typename Fn> bool rewriteInstructions(ir::Function &F, Fn Rewrite) {
+  bool Changed = false;
+  for (unsigned BI = 0; BI < F.numBlocks(); ++BI) {
+    ir::BasicBlock *BB = F.block(BI);
+    for (unsigned Idx = 0; Idx < BB->size(); ++Idx) {
+      ir::Instr *I = BB->instr(Idx);
+      ir::Value *New = Rewrite(F, BB, Idx, I);
+      if (!New || New == I)
+        continue;
+      replaceAllUses(F, I, New);
+      if (!I->isTerminator()) {
+        // Re-find the index: the rewrite may have inserted instructions.
+        for (unsigned K = 0; K < BB->size(); ++K)
+          if (BB->instr(K) == I) {
+            BB->erase(K);
+            break;
+          }
+        --Idx;
+      }
+      Changed = true;
+    }
+  }
+  return Changed;
+}
+
 /// Removes instructions with no uses and no side effects. \returns count.
 unsigned removeDeadInstructions(ir::Function &F);
 

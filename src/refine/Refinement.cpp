@@ -205,8 +205,9 @@ class RefinementCheck {
 public:
   RefinementCheck(const Function &Src, const Function &Tgt, const Module *M,
                   const Options &Opts, support::QueryCache *QC,
-                  const prof::Span &Pair)
-      : SrcF(Src), TgtF(Tgt), M(M), Opts(Opts), QC(QC), Pair(Pair) {}
+                  const prof::Span &Pair, const TimeLimit &Limit)
+      : SrcF(Src), TgtF(Tgt), M(M), Opts(Opts), QC(QC), Pair(Pair),
+        Limit(Limit) {}
 
   Verdict run();
 
@@ -217,8 +218,10 @@ private:
   const Options &Opts;
   /// Staged-query result cache; null = query level disabled.
   support::QueryCache *QC;
-  /// The verify_pair span, whose clock is the pair's budget and time.
+  /// The verify_pair span, whose clock is the pair's time.
   const prof::Span &Pair;
+  /// The pair's time limit, fixed when its verify_pair span opened.
+  const TimeLimit &Limit;
 
   std::unique_ptr<Function> SrcU, TgtU;
   std::unique_ptr<MemoryLayout> Layout;
@@ -395,14 +398,13 @@ RefinementCheck::runQuery(const std::string &CheckName,
       CheckName, [&] { return fingerprintQuery(Q); },
       [&] {
         Answer Out;
-        // Each staged query gets what is left of the pair's budget.
-        SolverBudget B = Opts.Budget;
-        B.TimeoutSec -= Pair.seconds();
-        if (B.TimeoutSec <= 0) {
+        // A query starts only before the pair's instant; a cancelled one
+        // stops at solveExistsForall's first poll.
+        if (Limit.poll() == Reason::Timeout) {
           Out.Result = QueryResult::BudgetExhausted;
           return Out;
         }
-        EFOutcome R = solveExistsForall(Q, B);
+        EFOutcome R = solveExistsForall(Q, Limit);
         Out.Result = toQueryResult(R.Res);
         Out.Why = R.UnknownReason;
         Out.Iterations = R.Iterations;
@@ -519,15 +521,15 @@ Verdict RefinementCheck::run() {
     Seeds.push_back(alignEnds(SrcI, Tgt, "tgt"));
 
   // Step 1: the preconditions must not be vacuously false. A plain check
-  // of the premise under the pair's whole budget, keyed by the
+  // of the premise within the pair's time limit, keyed by the
   // order-independent conjunction fingerprint; here Unsat is the failure.
   Answer Pre = stagedQuery(
       "precondition", [&] { return fingerprintConjunction(OuterBase); },
       [&] {
-        Solver S(Opts.Budget);
+        Solver S(Limit);
         for (Expr E : OuterBase)
           S.add(E);
-        SolveOutcome R = S.check(Opts.Budget);
+        SolveOutcome R = S.check();
         Answer Out;
         Out.Result = toQueryResult(R.Res);
         Out.Why = R.UnknownReason;
@@ -671,7 +673,8 @@ Verdict refine::detail::checkPair(const Function &Src, const Function &Tgt,
   Pairs.inc();
   ALIVE_STAT_SAMPLER(VerifyTime, "time.verify");
   prof::Span ProfSpan("verify_pair", Src.name(), VerifyTime);
-  RefinementCheck C(Src, Tgt, M, Opts, QC, ProfSpan);
+  TimeLimit Limit(Opts.Budget);
+  RefinementCheck C(Src, Tgt, M, Opts, QC, ProfSpan, Limit);
   Verdict V = C.run();
   V.Rung = Rung;
   traceVerdict(Src.name(), V);

@@ -83,9 +83,10 @@ struct Options {
   /// for non-loop optimizations; loop optimizations may need much more.
   unsigned UnrollFactor = 2;
   /// Solver budget of one pair (the paper's 1-minute / 1 GB defaults,
-  /// scaled). TimeoutSec bounds the whole pair: step 1 gets all of it and
-  /// each later staged query what is left. MaxLiterals and MaxConflicts
-  /// bound each solver and each check.
+  /// scaled). TimeoutSec bounds the whole pair: when its verify_pair span
+  /// opens, the pair fixes one smt::TimeLimit, TimeoutSec from then, that
+  /// every staged query polls. MaxLiterals and MaxConflicts bound each
+  /// solver and each check.
   smt::SolverBudget Budget;
   /// Ablation E7: plain equivalence checking without deferred UB.
   bool EquivalenceMode = false;
@@ -103,7 +104,7 @@ struct Options {
   /// Armed when the Validator is constructed and re-armed at the start of
   /// each verifyBatch/verifyModules call; once expired, pairs not yet
   /// dispatched return VerdictKind::DeadlineSkipped and in-flight pairs are
-  /// cancelled. Distinct from Budget.TimeoutSec, which bounds one SMT query.
+  /// cancelled. Distinct from Budget.TimeoutSec, which bounds one pair.
   double DeadlineSec = 0;
   /// Memory-watchdog bound on process RSS in bytes (0 = watchdog off). When
   /// the sampler sees RSS above the bound it cancels the longest-running

@@ -135,39 +135,37 @@ void Validator::emit(const PairResult &R) {
     Callback(R);
 }
 
-bool Validator::shouldRetry(const Verdict &V, unsigned Rung) const {
-  if (Opts.Retry.MaxRungs == 0 || Rung >= Opts.Retry.MaxRungs)
-    return false;
+/// Whether a bigger budget could change \p V. The CEGIS iteration cap
+/// (QuantifierLimit) is not budget-scaled, and cancellation (user,
+/// deadline, watchdog) must not spawn more work.
+static bool budgetShaped(const Verdict &V) {
   if (V.Kind != VerdictKind::Timeout && V.Kind != VerdictKind::OutOfMemory)
     return false;
-  // Only budget-shaped failures benefit from a bigger budget. The CEGIS
-  // iteration cap (QuantifierLimit) is not budget-scaled, and cancellation
-  // (user, deadline, watchdog) must not spawn more work.
   switch (V.Why) {
   case Reason::Timeout:
   case Reason::Memory:
   case Reason::ConflictBudget:
   case Reason::BudgetExhausted:
-    break;
+    return true;
   default:
     return false;
   }
-  if (Cancel.isCancelled())
-    return false;
-  if (Gov && Gov->deadlineExpired())
-    return false;
-  return true;
 }
 
-void Validator::finalizeVerdict(Verdict &V, unsigned Rung) const {
+bool Validator::settleAttempt(Verdict &V, unsigned Rung, double &Cum) const {
+  Cum += V.Seconds;
+  V.Rung = Rung;
+  V.CumulativeSeconds = Cum;
   if (Opts.Retry.MaxRungs == 0)
-    return;
-  bool BudgetShaped = V.Why == Reason::Timeout || V.Why == Reason::Memory ||
-                      V.Why == Reason::ConflictBudget ||
-                      V.Why == Reason::BudgetExhausted;
-  if ((V.Kind == VerdictKind::Timeout ||
-       V.Kind == VerdictKind::OutOfMemory) &&
-      Rung >= Opts.Retry.MaxRungs && BudgetShaped) {
+    return false;
+  bool Shaped = budgetShaped(V);
+  if (Shaped && Rung < Opts.Retry.MaxRungs && !Cancel.isCancelled() &&
+      !(Gov && Gov->deadlineExpired())) {
+    ALIVE_STAT_COUNTER(Requeued, "retry.requeued");
+    Requeued.inc();
+    return true;
+  }
+  if (Shaped && Rung >= Opts.Retry.MaxRungs) {
     V.Why = Reason::RetriesExhausted;
     ALIVE_STAT_COUNTER(Exhausted, "retry.exhausted");
     Exhausted.inc();
@@ -175,6 +173,7 @@ void Validator::finalizeVerdict(Verdict &V, unsigned Rung) const {
     ALIVE_STAT_COUNTER(Resolved, "retry.resolved");
     Resolved.inc();
   }
+  return false;
 }
 
 Verdict Validator::attemptPair(const ir::Function &Src,
@@ -296,16 +295,8 @@ Verdict Validator::verifyPair(const ir::Function &Src, const ir::Function &Tgt,
   double Cum = 0;
   for (unsigned Rung = 0;; ++Rung) {
     Verdict V = attemptPair(Src, Tgt, M, Rung);
-    Cum += V.Seconds;
-    V.Rung = Rung;
-    V.CumulativeSeconds = Cum;
-    if (shouldRetry(V, Rung)) {
-      ALIVE_STAT_COUNTER(Requeued, "retry.requeued");
-      Requeued.inc();
-      continue;
-    }
-    finalizeVerdict(V, Rung);
-    return V;
+    if (!settleAttempt(V, Rung, Cum))
+      return V;
   }
 }
 
@@ -325,15 +316,8 @@ bool Validator::attemptTask(const PairTask &T, unsigned Index, unsigned Rung,
     smt::resetContext();
     V = attemptPair(*T.Src, *T.Tgt, T.M, Rung);
   }
-  Cum += V.Seconds;
-  V.Rung = Rung;
-  V.CumulativeSeconds = Cum;
-  if (shouldRetry(V, Rung)) {
-    ALIVE_STAT_COUNTER(Requeued, "retry.requeued");
-    Requeued.inc();
+  if (settleAttempt(V, Rung, Cum))
     return true;
-  }
-  finalizeVerdict(V, Rung);
   Out.V = std::move(V);
   emit(Out);
   return false;

@@ -174,11 +174,11 @@ private:
   /// and the governor-trip verdict rewrite.
   Verdict attemptPair(const ir::Function &Src, const ir::Function &Tgt,
                       const ir::Module *M, unsigned Rung);
-  /// Whether \p V at \p Rung warrants an escalated retry.
-  bool shouldRetry(const Verdict &V, unsigned Rung) const;
-  /// Stamps ladder-exit bookkeeping (RetriesExhausted, retry counters) on a
-  /// verdict that will not be retried.
-  void finalizeVerdict(Verdict &V, unsigned Rung) const;
+  /// Settles the attempt at \p Rung that gave \p V: stamps its rung and
+  /// the ladder's cumulative seconds (accumulated in \p Cum) on it.
+  /// \returns true when it warrants an escalated retry; otherwise stamps
+  /// the ladder's exit (RetriesExhausted, retry counters) on \p V.
+  bool settleAttempt(Verdict &V, unsigned Rung, double &Cum) const;
   /// Runs one batch task attempt at \p Rung (context reset + attemptPair),
   /// accumulating wall cost into \p Cum. \returns true when the pair must
   /// be re-enqueued at the next rung; otherwise the final verdict has been

@@ -11,20 +11,6 @@
 using namespace alive;
 using namespace alive::sema;
 
-smt::Expr EncodedValue::allNonPoison() const {
-  smt::Expr R = smt::mkTrue();
-  for (const StateValue &SV : Elems)
-    R = smt::mkAnd(R, SV.NonPoison);
-  return R;
-}
-
-smt::Expr EncodedValue::anyUndef() const {
-  smt::Expr R = smt::mkFalse();
-  for (const StateValue &SV : Elems)
-    R = smt::mkOr(R, SV.IsUndef);
-  return R;
-}
-
 unsigned sema::numLanes(const ir::Type *Ty) {
   if (!Ty->isAggregate())
     return 1;

@@ -58,11 +58,6 @@ struct EncodedValue {
     assert(Elems.size() == 1 && "not a scalar");
     return Elems[0];
   }
-
-  /// All lanes non-poison.
-  smt::Expr allNonPoison() const;
-  /// Any lane possibly undef.
-  smt::Expr anyUndef() const;
 };
 
 /// Number of scalar lanes a type flattens to (1 for scalars).

@@ -13,7 +13,8 @@
 using namespace alive;
 using namespace alive::smt;
 
-BitBlaster::BitBlaster(SatSolver &Solver) : S(Solver) {
+BitBlaster::BitBlaster(SatSolver &Solver, const TimeLimit &Limit)
+    : S(Solver), Limit(Limit) {
   TrueLit = mkLit(S.newVar());
   S.addClause(TrueLit);
 }
@@ -23,34 +24,18 @@ Lit BitBlaster::fresh() {
   return mkLit(S.newVar());
 }
 
-void BitBlaster::setTimeBudget(double Seconds,
-                               const std::atomic<bool> *CancelFlag) {
-  auto Now = std::chrono::steady_clock::now();
-  // Budgets past the clock's range (a default 60 s is far inside it) mean
-  // no deadline.
-  if (Seconds < 1e9)
-    Deadline = Now + std::chrono::duration_cast<
-                         std::chrono::steady_clock::duration>(
-                         std::chrono::duration<double>(Seconds));
-  Cancel = CancelFlag;
-}
-
 void BitBlaster::clause(std::initializer_list<Lit> Lits) {
   if (Stop != Reason::None)
     return;
   ++ClausesEmitted;
   EmittedLiterals += Lits.size();
-  if (EmittedLiterals > LiteralBudget) {
+  if (EmittedLiterals > Limit.budget().MaxLiterals) {
     Stop = Reason::Memory;
     return;
   }
   S.addClause(std::span<const Lit>(Lits.begin(), Lits.size()));
-  if (ClausesEmitted % ClausesPerPoll == 0) {
-    if (Cancel && Cancel->load(std::memory_order_relaxed))
-      Stop = Reason::Cancelled;
-    else if (std::chrono::steady_clock::now() > Deadline)
-      Stop = Reason::Timeout;
-  }
+  if (ClausesEmitted % ClausesPerPoll == 0)
+    Stop = Limit.poll();
 }
 
 //===----------------------------------------------------------------------===//

@@ -21,8 +21,6 @@
 #include "smt/Expr.h"
 #include "smt/Sat.h"
 
-#include <atomic>
-#include <chrono>
 #include <initializer_list>
 #include <unordered_map>
 #include <utility>
@@ -34,7 +32,10 @@ namespace alive::smt {
 /// extraction.
 class BitBlaster {
 public:
-  explicit BitBlaster(SatSolver &Solver);
+  /// Blasts into \p Solver within \p Limit: past its budget's MaxLiterals
+  /// emitted literals, or once its poll answers Timeout or Cancelled, it
+  /// stops.
+  BitBlaster(SatSolver &Solver, const TimeLimit &Limit);
 
   /// Asserts that the Bool expression \p E holds.
   void assertTrue(Expr E);
@@ -54,12 +55,9 @@ public:
   /// descending.
   bool overBudget() const { return Stop != Reason::None; }
   /// Why blasting stopped: Memory past the literal budget, Timeout or
-  /// Cancelled past the time budget; None while it runs.
+  /// Cancelled from the time limit, polled every ClausesPerPoll clauses;
+  /// None while it runs.
   Reason stopReason() const { return Stop; }
-  void setLiteralBudget(size_t Budget) { LiteralBudget = Budget; }
-  /// Stops blasting once \p Seconds have passed from this call or \p Cancel
-  /// (optional) reads true; both are polled every ClausesPerPoll clauses.
-  void setTimeBudget(double Seconds, const std::atomic<bool> *Cancel);
 
   /// CNF-size telemetry (cumulative since construction; the Solver facade
   /// flushes deltas into the stats registry per check).
@@ -75,11 +73,8 @@ private:
   std::unordered_map<ExprId, std::vector<Lit>> VarBits;
   Lit TrueLit;
   Reason Stop = Reason::None;
-  size_t LiteralBudget = ~size_t(0);
+  TimeLimit Limit;
   static constexpr uint64_t ClausesPerPoll = uint64_t(1) << 12;
-  std::chrono::steady_clock::time_point Deadline =
-      std::chrono::steady_clock::time_point::max();
-  const std::atomic<bool> *Cancel = nullptr;
   size_t EmittedLiterals = 0;
   uint64_t CacheHits = 0, GateHits = 0, FreshVars = 0, ClausesEmitted = 0;
 

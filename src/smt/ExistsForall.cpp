@@ -320,7 +320,7 @@ bool modelInvolvesApp(const EFQuery &Query, const Model &M,
 } // namespace
 
 EFOutcome smt::solveExistsForall(const EFQuery &Query,
-                                 const SolverBudget &Budget) {
+                                 const TimeLimit &Limit) {
   EFOutcome Out;
   // Constructed before the TraceEmitter so the "ef_query" trace event
   // (emitted in the Emitter's destructor) still carries this span's id.
@@ -349,11 +349,26 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
   Expr Phi = Query.Inner;
   std::unordered_set<ExprId> InnerVars = Query.InnerVars;
 
+  // Polls the time limit; a stop leaves Out Unknown with the poll's
+  // reason.
+  auto stopped = [&] {
+    Out.UnknownReason = Limit.poll();
+    if (Out.UnknownReason == Reason::None)
+      return false;
+    Out.Res = SatResult::Unknown;
+    return true;
+  };
+  // A query that starts past the time limit prepares nothing and builds no
+  // solver.
+  if (stopped())
+    return Out;
+
   // Equation-derived definitions of inner variables (e-matching analog),
   // in two variants: preferring to solve the first or the second argument
   // of invertible nodes (covering symmetric undef cases).
   std::vector<std::unordered_map<ExprId, Expr>> EqDefVariants;
   if (Query.DeriveEquationDefs) {
+    prof::Span DeriveSpan("ef_derive");
     for (bool PreferSecond : {false, true}) {
       std::unordered_map<ExprId, Expr> Defs;
       deriveEquationDefs(Phi, InnerVars, Defs, PreferSecond);
@@ -362,43 +377,46 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
     }
   }
 
-  // Symbolic instantiations of the universal (see EFQuery::Seeds): each
-  // given seed as-is, plus each equation-defs variant layered over it.
-  std::vector<EFQuery::Seed> AllSeeds = Query.Seeds;
-  for (const auto &EqDefs : EqDefVariants) {
-    if (Query.Seeds.empty()) {
-      EFQuery::Seed S;
-      S.VarMap = EqDefs;
-      AllSeeds.push_back(std::move(S));
-      continue;
+  {
+    prof::Span SeedSpan("ef_seeds");
+    // Symbolic instantiations of the universal (see EFQuery::Seeds): each
+    // given seed as-is, plus each equation-defs variant layered over it.
+    std::vector<EFQuery::Seed> AllSeeds = Query.Seeds;
+    for (const auto &EqDefs : EqDefVariants) {
+      if (Query.Seeds.empty()) {
+        EFQuery::Seed S;
+        S.VarMap = EqDefs;
+        AllSeeds.push_back(std::move(S));
+        continue;
+      }
+      for (const EFQuery::Seed &S : Query.Seeds) {
+        EFQuery::Seed Augmented = S;
+        for (const auto &[Id, T] : EqDefs)
+          Augmented.VarMap[Id] = T;
+        AllSeeds.push_back(std::move(Augmented));
+      }
     }
-    for (const EFQuery::Seed &S : Query.Seeds) {
-      EFQuery::Seed Augmented = S;
-      for (const auto &[Id, T] : EqDefs)
-        Augmented.VarMap[Id] = T;
-      AllSeeds.push_back(std::move(Augmented));
+    for (const EFQuery::Seed &S : AllSeeds) {
+      Expr Inst = renameApps(substitute(Phi, S.VarMap), S.AppRenames);
+      // Partial instantiation would be unsound: skip a seed that leaves an
+      // inner variable or an inner application behind.
+      bool InnerLeft = mentionsAnyVar(Inst, InnerVars);
+      if (!InnerLeft) {
+        std::unordered_set<ExprId> Apps;
+        collectApps(Inst, Apps);
+        for (ExprId A : Apps)
+          for (const std::string &P : Query.InnerAppPrefixes)
+            InnerLeft |= ExprCtx::get().node(A).Name.rfind(P, 0) == 0;
+      }
+      if (InnerLeft) {
+        ALIVE_STAT_COUNTER(SeedsSkipped, "ef.seeds_skipped");
+        SeedsSkipped.inc();
+        continue;
+      }
+      ALIVE_STAT_COUNTER(SeedsAccepted, "ef.seeds_accepted");
+      SeedsAccepted.inc();
+      Outer.push_back(mkNot(Inst));
     }
-  }
-  for (const EFQuery::Seed &S : AllSeeds) {
-    Expr Inst = renameApps(substitute(Phi, S.VarMap), S.AppRenames);
-    // Partial instantiation would be unsound: skip a seed that leaves an
-    // inner variable or an inner application behind.
-    bool InnerLeft = mentionsAnyVar(Inst, InnerVars);
-    if (!InnerLeft) {
-      std::unordered_set<ExprId> Apps;
-      collectApps(Inst, Apps);
-      for (ExprId A : Apps)
-        for (const std::string &P : Query.InnerAppPrefixes)
-          InnerLeft |= ExprCtx::get().node(A).Name.rfind(P, 0) == 0;
-    }
-    if (InnerLeft) {
-      ALIVE_STAT_COUNTER(SeedsSkipped, "ef.seeds_skipped");
-      SeedsSkipped.inc();
-      continue;
-    }
-    ALIVE_STAT_COUNTER(SeedsAccepted, "ef.seeds_accepted");
-    SeedsAccepted.inc();
-    Outer.push_back(mkNot(Inst));
   }
 
   // Ackermannize the whole query in one id-sorted pass. An axiom between
@@ -452,23 +470,11 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
       // Pick up instantiations discovered by earlier phases.
       for (; NextBlocking < InstBlockings.size(); ++NextBlocking)
         OuterSolver.add(InstBlockings[NextBlocking]);
-      // Cooperative cancellation between checks; the SAT solver polls the
-      // same flag inside a check.
-      if (Budget.Cancel && Budget.Cancel->load(std::memory_order_relaxed)) {
-        Out.Res = SatResult::Unknown;
-        Out.UnknownReason = Reason::Cancelled;
+      // The checks poll the same time limit inside.
+      if (stopped())
         return Phase::Unknown;
-      }
-      double Remaining = Budget.TimeoutSec - ProfSpan.seconds();
-      if (Remaining <= 0) {
-        Out.Res = SatResult::Unknown;
-        Out.UnknownReason = Reason::Timeout;
-        return Phase::Unknown;
-      }
-      SolverBudget SubBudget = Budget;
-      SubBudget.TimeoutSec = Remaining;
 
-      SolveOutcome OuterRes = OuterSolver.check(SubBudget);
+      SolveOutcome OuterRes = OuterSolver.check();
       if (OuterRes.isUnsat())
         return Phase::Unsat;
       if (OuterRes.isUnknown()) {
@@ -493,14 +499,9 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
       Model Witness;
       bool NoInnerWitness = PhiInst.isFalse();
       if (!NoInnerWitness && !PhiInst.isTrue()) {
-        Remaining = Budget.TimeoutSec - ProfSpan.seconds();
-        if (Remaining <= 0) {
-          Out.Res = SatResult::Unknown;
-          Out.UnknownReason = Reason::Timeout;
+        if (stopped())
           return Phase::Unknown;
-        }
-        SubBudget.TimeoutSec = Remaining;
-        SolveOutcome InnerRes = checkSat(PhiInst, SubBudget);
+        SolveOutcome InnerRes = checkSat(PhiInst, Limit);
         if (InnerRes.isUnknown()) {
           Out.Res = SatResult::Unknown;
           Out.UnknownReason = InnerRes.UnknownReason;
@@ -579,18 +580,11 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
     return Out;
   };
 
-  // What is left of the query's budget, for an outer solver built now.
-  auto remaining = [&] {
-    SolverBudget B = Budget;
-    B.TimeoutSec -= ProfSpan.seconds();
-    return B;
-  };
-
   // Phase A: bias toward all-zero inputs. Models found here are small and
   // readable, and exercise the exact (non-over-approximated) semantic
   // paths first. Only run when there are avoided apps to dodge.
   if (!Query.AvoidAppPrefixes.empty()) {
-    Solver ZeroSolver(remaining());
+    Solver ZeroSolver(Limit);
     for (Expr E : Outer)
       ZeroSolver.add(E);
     for (ExprId V : OuterVars) {
@@ -610,7 +604,7 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
   }
 
   // Phase B: the full search.
-  Solver OuterSolver(remaining());
+  Solver OuterSolver(Limit);
   for (Expr E : Outer)
     OuterSolver.add(E);
   Phase R = runPhase(OuterSolver, 512);

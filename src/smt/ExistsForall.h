@@ -82,10 +82,12 @@ struct EFOutcome {
   std::vector<std::pair<ExprId, unsigned>> WitnessChanges;
 };
 
-/// Decides the query within the budget. Uninterpreted applications anywhere
+/// Decides the query within \p Limit. Uninterpreted applications anywhere
 /// in the query are Ackermannized first, with congruence axioms placed on
-/// the correct side of the quantifier alternation.
-EFOutcome solveExistsForall(const EFQuery &Query, const SolverBudget &Budget);
+/// the correct side of the quantifier alternation. \p Limit is polled on
+/// entry, so a query that starts past it answers Unknown with the poll's
+/// reason and builds no solver, and in each CEGIS round.
+EFOutcome solveExistsForall(const EFQuery &Query, const TimeLimit &Limit);
 
 } // namespace alive::smt
 

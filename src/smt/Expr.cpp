@@ -348,8 +348,6 @@ Expr smt::mkBoolToBV1(Expr B) {
   return mkIte(B, mkBV(1, 1), mkBV(1, 0));
 }
 
-Expr smt::mkBVToBool(Expr A) { return mkNe(A, mkBV(A.width(), 0)); }
-
 Expr smt::mkSignBit(Expr A) {
   return mkEq(mkExtract(A, A.width() - 1, 1), mkBV(1, 1));
 }

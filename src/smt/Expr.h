@@ -92,18 +92,12 @@ public:
   unsigned width() const { return node().Width; }
   Kind kind() const { return node().K; }
 
-  bool isConst() const {
-    Kind K = kind();
-    return K == Kind::ConstBool || K == Kind::ConstBV;
-  }
   bool isTrue() const;
   bool isFalse() const;
   /// \returns true and sets \p Out if this is a bit-vector constant.
   bool getConst(BitVec &Out) const;
   bool isZeroConst() const;
   bool isAllOnesConst() const;
-  bool isVar() const { return kind() == Kind::Var; }
-  const std::string &varName() const { return node().Name; }
 
   bool operator==(const Expr &O) const { return Id == O.Id; }
   bool operator!=(const Expr &O) const { return Id != O.Id; }
@@ -217,8 +211,6 @@ Expr mkSge(Expr A, Expr B);
 
 /// Bool -> 1-bit vector (true -> 1).
 Expr mkBoolToBV1(Expr B);
-/// Any-width BV -> Bool via != 0.
-Expr mkBVToBool(Expr A);
 /// The sign bit of \p A as Bool.
 Expr mkSignBit(Expr A);
 

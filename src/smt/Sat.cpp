@@ -430,7 +430,22 @@ uint64_t SatSolver::lubySequence(uint64_t I) {
   return 1ull << (K - 1);
 }
 
-SatStatus SatSolver::solve(const SatLimits &Limits) {
+TimeLimit::TimeLimit(const SolverBudget &Budget) : Budget(Budget) {
+  if (Budget.TimeoutSec < 1e9)
+    Until = std::chrono::steady_clock::now() +
+            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                std::chrono::duration<double>(Budget.TimeoutSec));
+}
+
+Reason TimeLimit::poll() const {
+  if (Budget.Cancel && Budget.Cancel->load(std::memory_order_relaxed))
+    return Reason::Cancelled;
+  if (std::chrono::steady_clock::now() > Until)
+    return Reason::Timeout;
+  return Reason::None;
+}
+
+SatStatus SatSolver::solve(const TimeLimit &Limit) {
   // Span first, flusher second: the flusher's destructor runs before the
   // span's, so the span observes this solve's per-thread tally deltas.
   ALIVE_STAT_SAMPLER(SolveTime, "time.sat_check");
@@ -478,27 +493,20 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
 
   if (Unsat)
     return SatStatus::Unsat;
-  auto cancelled = [&Limits] {
-    return Limits.Cancel &&
-           Limits.Cancel->load(std::memory_order_relaxed);
-  };
-  // Polls the cancel flag and the clock, every 256 conflicts and every
-  // PropagationsPerPoll propagations; true, with the reason set, when the
-  // search must stop.
+  const SolverBudget &Budget = Limit.budget();
+  // Polls the time limit, every 256 conflicts and every PropagationsPerPoll
+  // propagations; true, with the reason set, when the search must stop.
   auto expired = [&] {
-    if (cancelled())
-      UnknownReason = Reason::Cancelled;
-    else if (ProfSpan.seconds() > Limits.TimeoutSec)
-      UnknownReason = Reason::Timeout;
-    else
-      return false;
-    return true;
+    UnknownReason = Limit.poll();
+    return UnknownReason != Reason::None;
   };
-  if (cancelled()) {
+  // A cancelled search stops before it starts; a passed instant stops it at
+  // the first poll.
+  if (Limit.poll() == Reason::Cancelled) {
     UnknownReason = Reason::Cancelled;
     return SatStatus::Unknown;
   }
-  if (TotalLiterals > Limits.MaxLiterals) {
+  if (TotalLiterals > Budget.MaxLiterals) {
     UnknownReason = Reason::Memory;
     return SatStatus::Unknown;
   }
@@ -541,12 +549,12 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
       if ((Conflicts & 255) == 0) {
         if (expired())
           return SatStatus::Unknown;
-        if (TotalLiterals > Limits.MaxLiterals) {
+        if (TotalLiterals > Budget.MaxLiterals) {
           UnknownReason = Reason::Memory;
           return SatStatus::Unknown;
         }
       }
-      if (Conflicts - ConflictsAtStart > Limits.MaxConflicts) {
+      if (Conflicts - ConflictsAtStart > Budget.MaxConflicts) {
         UnknownReason = Reason::ConflictBudget;
         return SatStatus::Unknown;
       }

@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -46,17 +47,50 @@ inline bool litSign(Lit L) { return L & 1; }
 
 enum class SatStatus { Sat, Unsat, Unknown };
 
-/// Resource budget for one solve() call.
-struct SatLimits {
+/// Resource budget as configured. The refinement layer spends one budget
+/// per pair (refine::Options::Budget): TimeoutSec bounds the whole pair,
+/// while MaxLiterals and MaxConflicts bound each solver and each check. The
+/// solver layers never read TimeoutSec or Cancel themselves; they poll the
+/// TimeLimit that starts this budget.
+struct SolverBudget {
   double TimeoutSec = 60.0;
+  /// Approximate memory budget in CNF literals (~16 bytes each). It caps
+  /// the literals bit-blasting may emit as well as the clause database
+  /// during search.
+  size_t MaxLiterals = size_t(1) << 26;
   uint64_t MaxConflicts = ~uint64_t(0);
-  /// Approximate memory cap over clause-database literals.
-  size_t MaxLiterals = 1u << 27;
-  /// Optional cooperative cancellation flag, polled alongside the timeout
-  /// check. When it becomes true, solve() returns Unknown with
-  /// Reason::Cancelled at the next poll — this is how the batch engine
-  /// keeps one stuck pair from wedging a worker past its budget.
+  /// Optional cooperative cancellation flag. The refinement layer maps an
+  /// Unknown with Reason::Cancelled onto a Timeout verdict. Not owned; must
+  /// outlive every TimeLimit started from this budget. Typically points into
+  /// a support::CancellationToken (or a ResourceGovernor job slot) held by a
+  /// refine::Validator.
   const std::atomic<bool> *Cancel = nullptr;
+};
+
+/// A SolverBudget in force: its time limit fixed once, when the TimeLimit
+/// is built, as the instant TimeoutSec later on the steady clock. A pair
+/// builds one when its verify_pair span opens, a standalone query at its
+/// top-level call, and every layer below (the SAT search, bit-blasting, each
+/// exists-forall query and its rounds, each staged query) polls that one
+/// instant through poll().
+class TimeLimit {
+public:
+  /// Starts \p Budget now. A TimeoutSec beyond the clock's range (a default
+  /// 60 s is far inside it) means no limit.
+  explicit TimeLimit(const SolverBudget &Budget = SolverBudget());
+
+  /// Reason::Cancelled when the cancel flag is set, else Reason::Timeout
+  /// when the clock is past the instant, else Reason::None: go on.
+  Reason poll() const;
+
+  /// The budget this limit started; its MaxLiterals and MaxConflicts bound
+  /// each solver and each check.
+  const SolverBudget &budget() const { return Budget; }
+
+private:
+  SolverBudget Budget;
+  std::chrono::steady_clock::time_point Until =
+      std::chrono::steady_clock::time_point::max();
 };
 
 /// CDCL solver. Usage: newVar()* -> addClause()* -> solve() -> modelValue().
@@ -87,13 +121,16 @@ public:
     return addClause(Lits);
   }
 
-  SatStatus solve(const SatLimits &Limits = SatLimits());
+  /// Searches within \p Limit: past its instant, once its cancel flag is
+  /// set, past its budget's MaxConflicts conflicts in this call or past
+  /// MaxLiterals clause-database literals, it answers Unknown.
+  SatStatus solve(const TimeLimit &Limit = TimeLimit());
 
-  /// solve() polls its time budget and cancel flag after the propagation
-  /// pass that crosses each multiple of this many propagations, besides
-  /// every 256 conflicts: a search with heavy propagation and few
-  /// conflicts still stops in time. A decision propagates at least its own
-  /// literal, so no more than this many decisions pass between two polls.
+  /// solve() polls its time limit after the propagation pass that crosses
+  /// each multiple of this many propagations, besides every 256 conflicts:
+  /// a search with heavy propagation and few conflicts still stops in time.
+  /// A decision propagates at least its own literal, so no more than this
+  /// many decisions pass between two polls.
   static constexpr uint64_t PropagationsPerPoll = uint64_t(1) << 12;
 
   /// Value of a variable in the satisfying assignment (only after Sat).

@@ -16,12 +16,9 @@
 using namespace alive;
 using namespace alive::smt;
 
-Solver::Solver(const SolverBudget &Budget)
-    : Sat(std::make_unique<SatSolver>()),
-      Blaster(std::make_unique<BitBlaster>(*Sat)) {
-  Blaster->setLiteralBudget(Budget.MaxLiterals);
-  Blaster->setTimeBudget(Budget.TimeoutSec, Budget.Cancel);
-}
+Solver::Solver(const TimeLimit &Limit)
+    : Limit(Limit), Sat(std::make_unique<SatSolver>()),
+      Blaster(std::make_unique<BitBlaster>(*Sat, Limit)) {}
 
 Solver::~Solver() = default;
 
@@ -116,7 +113,7 @@ void Solver::flushBlastStats() {
   SeenGateHits = Blaster->numGateHits();
 }
 
-SolveOutcome Solver::check(const SolverBudget &Budget) {
+SolveOutcome Solver::check() {
   // Child spans cover the CDCL core (sat_solve) and model extraction
   // (model); this span's self time is telemetry flushing.
   prof::Span ProfSpan("sat_check");
@@ -130,12 +127,7 @@ SolveOutcome Solver::check(const SolverBudget &Budget) {
   } else if (Blaster->overBudget()) {
     Out.UnknownReason = Blaster->stopReason();
   } else {
-    SatLimits Limits;
-    Limits.TimeoutSec = Budget.TimeoutSec;
-    Limits.MaxLiterals = Budget.MaxLiterals;
-    Limits.MaxConflicts = Budget.MaxConflicts;
-    Limits.Cancel = Budget.Cancel;
-    switch (Sat->solve(Limits)) {
+    switch (Sat->solve(Limit)) {
     case SatStatus::Unsat:
       Out.Res = SatResult::Unsat;
       break;
@@ -164,8 +156,8 @@ SolveOutcome Solver::check(const SolverBudget &Budget) {
   return Out;
 }
 
-SolveOutcome smt::checkSat(Expr E, const SolverBudget &Budget) {
-  Solver S(Budget);
+SolveOutcome smt::checkSat(Expr E, const TimeLimit &Limit) {
+  Solver S(Limit);
   S.add(E);
-  return S.check(Budget);
+  return S.check();
 }

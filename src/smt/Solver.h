@@ -34,27 +34,6 @@ enum class SatResult { Sat, Unsat, Unknown };
 /// the literals live in exactly one place).
 const char *toString(SatResult R);
 
-/// Resource budget of a solver call. TimeoutSec bounds the call it is
-/// passed to: one check, or one whole exists-forall search. The refinement
-/// layer spends one budget per pair (refine::Options::Budget), handing each
-/// staged query what is left of it. MaxLiterals and MaxConflicts bound each
-/// solver and each check instead.
-struct SolverBudget {
-  double TimeoutSec = 60.0;
-  /// Approximate memory budget in CNF literals (~16 bytes each). It caps
-  /// the literals bit-blasting may emit as well as the clause database
-  /// during search.
-  size_t MaxLiterals = size_t(1) << 26;
-  uint64_t MaxConflicts = ~uint64_t(0);
-  /// Optional cooperative cancellation flag, forwarded to SatLimits::Cancel
-  /// and polled between exists-forall iterations. The refinement layer maps
-  /// an Unknown with Reason::Cancelled onto a Timeout verdict. Not owned;
-  /// must outlive every check using this budget. Typically points into a
-  /// support::CancellationToken (or a ResourceGovernor job slot) held by a
-  /// refine::Validator.
-  const std::atomic<bool> *Cancel = nullptr;
-};
-
 /// Outcome of a check: a verdict, a model when Sat, and a typed reason when
 /// Unknown (Timeout, Memory, Cancelled, ConflictBudget, QuantifierLimit).
 /// The check's effort is on the enclosing prof::Span (see
@@ -109,12 +88,10 @@ private:
 /// Incremental quantifier-free solver over the Expr language.
 class Solver {
 public:
-  /// Bit-blasting honours the budget of the checks this solver will run:
-  /// past \p Budget.MaxLiterals emitted literals, past \p Budget.TimeoutSec
-  /// from construction, or once \p Budget.Cancel reads true, it stops, and
-  /// check() answers Unknown (Reason::Memory, Timeout or Cancelled) without
-  /// searching.
-  explicit Solver(const SolverBudget &Budget = SolverBudget());
+  /// Bit-blasting and every check honour \p Limit: once bit-blasting stops
+  /// past the literal budget or at a poll, check() answers Unknown
+  /// (Reason::Memory, Timeout or Cancelled) without searching.
+  explicit Solver(const TimeLimit &Limit = TimeLimit());
   ~Solver();
 
   Solver(const Solver &) = delete;
@@ -124,7 +101,7 @@ public:
   void add(Expr E);
 
   /// Checks satisfiability of all assertions so far.
-  SolveOutcome check(const SolverBudget &Budget = SolverBudget());
+  SolveOutcome check();
 
   /// Statistics for benchmarking. Decisions/propagations are forwarded from
   /// the underlying SatSolver so callers never need solver internals.
@@ -134,6 +111,7 @@ public:
   size_t numClauses() const { return Sat->numClauses(); }
 
 private:
+  TimeLimit Limit;
   std::unique_ptr<SatSolver> Sat;
   std::unique_ptr<BitBlaster> Blaster;
   bool TriviallyUnsat = false;
@@ -150,7 +128,7 @@ private:
 };
 
 /// One-shot convenience: check a single formula.
-SolveOutcome checkSat(Expr E, const SolverBudget &Budget = SolverBudget());
+SolveOutcome checkSat(Expr E, const TimeLimit &Limit = TimeLimit());
 
 } // namespace alive::smt
 

@@ -310,8 +310,6 @@ bool BitVec::saddOverflow(const BitVec &B) const {
   return sign() == B.sign() && S.sign() != sign();
 }
 
-bool BitVec::usubOverflow(const BitVec &B) const { return ult(B); }
-
 bool BitVec::ssubOverflow(const BitVec &B) const {
   BitVec D = sub(B);
   return sign() != B.sign() && D.sign() != sign();

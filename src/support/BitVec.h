@@ -124,7 +124,6 @@ public:
   // Overflow predicates used for nsw/nuw poison rules.
   bool uaddOverflow(const BitVec &B) const;
   bool saddOverflow(const BitVec &B) const;
-  bool usubOverflow(const BitVec &B) const;
   bool ssubOverflow(const BitVec &B) const;
   bool umulOverflow(const BitVec &B) const;
   bool smulOverflow(const BitVec &B) const;

@@ -58,9 +58,9 @@ public:
   enum class Trip : uint8_t { None, Deadline, Watchdog };
 
   /// One governed work unit. The Cancel flag is what the solver polls
-  /// (via SolverBudget::Cancel); Why is written before Cancel with
-  /// release ordering, so a trip() read after observing the cancellation
-  /// sees the culprit.
+  /// (via SolverBudget::Cancel and smt::TimeLimit::poll); Why is written
+  /// before Cancel with release ordering, so a trip() read after observing
+  /// the cancellation sees the culprit.
   struct Job {
     std::atomic<bool> Cancel{false};
     std::atomic<Trip> Why{Trip::None};

@@ -37,9 +37,9 @@
 namespace alive::support {
 
 /// Cooperative cancellation: one sticky flag, set once, polled by workers
-/// and by the solver's inner loops (SatLimits::Cancel / SolverBudget::Cancel
-/// point at flag()). Relaxed atomics: cancellation is best-effort prompt,
-/// not synchronizing.
+/// and by the solver's inner loops (SolverBudget::Cancel points at flag(),
+/// and smt::TimeLimit::poll reads it). Relaxed atomics: cancellation is
+/// best-effort prompt, not synchronizing.
 class CancellationToken {
 public:
   CancellationToken() = default;

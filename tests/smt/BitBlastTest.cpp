@@ -207,7 +207,7 @@ TEST(BitBlast, GateIdenticalTermsShareGates) {
   ASSERT_NE(L.id(), R.id());
 
   SatSolver Sat;
-  BitBlaster Blaster(Sat);
+  BitBlaster Blaster(Sat, TimeLimit());
   std::vector<Lit> LBits = Blaster.blastBV(L);
   uint64_t Clauses = Blaster.numClausesEmitted();
   EXPECT_EQ(Blaster.blastBV(R), LBits);
@@ -354,7 +354,7 @@ TEST(BitBlast, MemoryBudgetReported) {
                  mkAnd(mkUgt(X, mkBV(32, 1)), mkUgt(Y, mkBV(32, 1))));
   SolverBudget B;
   B.MaxLiterals = 100;
-  SolveOutcome R = checkSat(Q, B);
+  SolveOutcome R = checkSat(Q, TimeLimit(B));
   ASSERT_TRUE(R.isUnknown());
   EXPECT_EQ(R.UnknownReason, support::Reason::Memory);
 }

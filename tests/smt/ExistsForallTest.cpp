@@ -9,6 +9,8 @@
 
 #include "smt/ExistsForall.h"
 #include "support/Diag.h"
+#include "support/Profile.h"
+#include "support/Stats.h"
 
 #include "gtest/gtest.h"
 
@@ -23,7 +25,7 @@ TEST(ExistsForall, FindsMaximum) {
   EFQuery Q;
   Q.Inner = mkUgt(Y, X);
   Q.InnerVars = {Y.id()};
-  EFOutcome R = solveExistsForall(Q, SolverBudget());
+  EFOutcome R = solveExistsForall(Q, TimeLimit());
   ASSERT_EQ(R.Res, SatResult::Sat);
   EXPECT_TRUE(R.M.get(X).isAllOnes());
 }
@@ -34,7 +36,7 @@ TEST(ExistsForall, AlwaysWitnessedIsUnsat) {
   EFQuery Q;
   Q.Inner = mkEq(Y, X);
   Q.InnerVars = {Y.id()};
-  EFOutcome R = solveExistsForall(Q, SolverBudget());
+  EFOutcome R = solveExistsForall(Q, TimeLimit());
   EXPECT_EQ(R.Res, SatResult::Unsat);
 }
 
@@ -46,7 +48,7 @@ TEST(ExistsForall, RefinementShapedUnsat) {
   Q.Outer = {mkEq(O, mkMul(I, mkBV(8, 2)))};
   Q.Inner = mkEq(O, mkAdd(I, I));
   // No inner nondeterminism variables: Phi is ground given outer.
-  EFOutcome R = solveExistsForall(Q, SolverBudget());
+  EFOutcome R = solveExistsForall(Q, TimeLimit());
   EXPECT_EQ(R.Res, SatResult::Unsat);
 }
 
@@ -57,7 +59,7 @@ TEST(ExistsForall, RefinementShapedSat) {
   EFQuery Q;
   Q.Outer = {mkEq(O, mkAdd(I, mkBV(8, 1)))};
   Q.Inner = mkEq(O, mkMul(I, mkBV(8, 2)));
-  EFOutcome R = solveExistsForall(Q, SolverBudget());
+  EFOutcome R = solveExistsForall(Q, TimeLimit());
   ASSERT_EQ(R.Res, SatResult::Sat);
   BitVec IV = R.M.get(I), OV = R.M.get(O);
   EXPECT_EQ(OV, IV.add(BitVec(8, 1)));
@@ -73,7 +75,7 @@ TEST(ExistsForall, NondeterministicSourceRefines) {
   Q.Outer = {mkEq(O, mkMul(I, mkBV(8, 2)))};
   Q.Inner = mkEq(O, mkMul(N, mkBV(8, 2)));
   Q.InnerVars = {N.id()};
-  EFOutcome R = solveExistsForall(Q, SolverBudget());
+  EFOutcome R = solveExistsForall(Q, TimeLimit());
   EXPECT_EQ(R.Res, SatResult::Unsat);
 }
 
@@ -86,7 +88,7 @@ TEST(ExistsForall, NondeterminismCannotBeAdded) {
   Q.Outer = {mkEq(O, mkAdd(mkMul(MVar, mkBV(8, 2)), mkBV(8, 1)))};
   Q.Inner = mkEq(O, mkMul(N, mkBV(8, 2)));
   Q.InnerVars = {N.id()};
-  EFOutcome R = solveExistsForall(Q, SolverBudget());
+  EFOutcome R = solveExistsForall(Q, TimeLimit());
   ASSERT_EQ(R.Res, SatResult::Sat);
   EXPECT_TRUE(R.M.get(O).bit(0)) << "counterexample output must be odd";
 }
@@ -100,14 +102,14 @@ TEST(ExistsForall, InnerConjunctionOfConstraints) {
   Q.Outer = {mkEq(O, mkURem(I, mkBV(8, 10)))};
   Q.Inner = mkAnd(mkUlt(N, mkBV(8, 10)), mkEq(O, N));
   Q.InnerVars = {N.id()};
-  EXPECT_EQ(solveExistsForall(Q, SolverBudget()).Res, SatResult::Unsat);
+  EXPECT_EQ(solveExistsForall(Q, TimeLimit()).Res, SatResult::Unsat);
 
   // Target outputs I itself: fails whenever I >= 10.
   EFQuery Q2;
   Q2.Outer = {mkEq(O, I)};
   Q2.Inner = mkAnd(mkUlt(N, mkBV(8, 10)), mkEq(O, N));
   Q2.InnerVars = {N.id()};
-  EFOutcome R = solveExistsForall(Q2, SolverBudget());
+  EFOutcome R = solveExistsForall(Q2, TimeLimit());
   ASSERT_EQ(R.Res, SatResult::Sat);
   EXPECT_TRUE(R.M.get(O).uge(BitVec(8, 10)));
 }
@@ -121,7 +123,7 @@ TEST(ExistsForall, UFCongruenceAcrossQuantifier) {
   Q.Outer = {mkEq(O, mkApp("f", 8, {I}))};
   Q.Inner = mkEq(O, mkApp("f", 8, {N}));
   Q.InnerVars = {N.id()};
-  EFOutcome R = solveExistsForall(Q, SolverBudget());
+  EFOutcome R = solveExistsForall(Q, TimeLimit());
   EXPECT_EQ(R.Res, SatResult::Unsat);
 }
 
@@ -131,7 +133,7 @@ TEST(ExistsForall, TrivialInnerFalse) {
   EFQuery Q;
   Q.Outer = {mkEq(X, mkBV(8, 42))};
   Q.Inner = mkFalse();
-  EFOutcome R = solveExistsForall(Q, SolverBudget());
+  EFOutcome R = solveExistsForall(Q, TimeLimit());
   ASSERT_EQ(R.Res, SatResult::Sat);
   EXPECT_EQ(R.M.get(X).low64(), 42u);
 }
@@ -142,7 +144,7 @@ TEST(ExistsForall, TrivialInnerTrue) {
   EFQuery Q;
   Q.Outer = {mkEq(X, mkBV(8, 42))};
   Q.Inner = mkTrue();
-  EXPECT_EQ(solveExistsForall(Q, SolverBudget()).Res, SatResult::Unsat);
+  EXPECT_EQ(solveExistsForall(Q, TimeLimit()).Res, SatResult::Unsat);
 }
 
 /// "not exists Inner . Phi" under \p Outer holds (Unsat). Solving Phi's
@@ -154,11 +156,11 @@ void expectOneRound(std::vector<Expr> Outer, Expr Phi,
   Q.Outer = std::move(Outer);
   Q.Inner = Phi;
   Q.InnerVars = std::move(Inner);
-  EFOutcome R = solveExistsForall(Q, SolverBudget());
+  EFOutcome R = solveExistsForall(Q, TimeLimit());
   EXPECT_EQ(R.Res, SatResult::Unsat);
   EXPECT_EQ(R.Iterations, 1u);
   Q.DeriveEquationDefs = false;
-  EFOutcome Plain = solveExistsForall(Q, SolverBudget());
+  EFOutcome Plain = solveExistsForall(Q, TimeLimit());
   EXPECT_NE(Plain.Res, SatResult::Sat);
   EXPECT_GT(Plain.Iterations, 1u);
 }
@@ -225,10 +227,52 @@ TEST(ExistsForall, TimeBudgetRespected) {
   Q.InnerVars = {Y.id()};
   SolverBudget B;
   B.TimeoutSec = 0.02;
-  EFOutcome R = solveExistsForall(Q, B);
+  EFOutcome R = solveExistsForall(Q, TimeLimit(B));
   // Must terminate quickly with some verdict; never hang.
   SUCCEED();
   (void)R;
+}
+
+TEST(ExistsForall, PreparationStopsAtTheTimeLimit) {
+  // The query polls the time limit before its preparation: a query whose
+  // instant has already passed instantiates none of its seeds (accepted or
+  // skipped) and builds no solver, with or without equation derivation in
+  // front of the seeds. A set cancel flag stops it the same way.
+  Expr I = mkFreshVar("I", 8), O = mkFreshVar("O", 8), N = mkFreshVar("N", 8);
+  EFQuery Q;
+  Q.Outer = {mkEq(O, mkAdd(I, mkBV(8, 1)))};
+  Q.Inner = mkEq(mkAdd(N, mkBV(8, 1)), O);
+  Q.InnerVars = {N.id()};
+  for (Expr T : {I, O, mkBV(8, 0), mkBV(8, 7)}) {
+    EFQuery::Seed S;
+    S.VarMap[N.id()] = T;
+    Q.Seeds.push_back(std::move(S));
+  }
+  stats::Counter Accepted = stats::counter("ef.seeds_accepted");
+  stats::Counter Skipped = stats::counter("ef.seeds_skipped");
+  SolverBudget Past;
+  Past.TimeoutSec = -1;
+  std::atomic<bool> Cancel{true};
+  SolverBudget Cancelled;
+  Cancelled.Cancel = &Cancel;
+  for (bool Derive : {true, false}) {
+    SCOPED_TRACE(Derive);
+    Q.DeriveEquationDefs = Derive;
+    for (auto [Budget, Why] : {std::pair{Past, Reason::Timeout},
+                               std::pair{Cancelled, Reason::Cancelled}}) {
+      uint64_t Accepted0 = Accepted.value(), Skipped0 = Skipped.value();
+      prof::Span Query("query");
+      EFOutcome R = solveExistsForall(Q, TimeLimit(Budget));
+      EXPECT_EQ(R.Res, SatResult::Unknown);
+      EXPECT_EQ(R.UnknownReason, Why);
+      EXPECT_EQ(R.Iterations, 0u);
+      EXPECT_EQ(Accepted.value(), Accepted0);
+      EXPECT_EQ(Skipped.value(), Skipped0);
+      EXPECT_EQ(Query.effort().SatChecks, 0u);
+    }
+  }
+  // Within the limit, the same query is decided.
+  EXPECT_EQ(solveExistsForall(Q, TimeLimit()).Res, SatResult::Unsat);
 }
 
 } // namespace

@@ -190,9 +190,9 @@ TEST(Sat, PropagationHeavySearchStopsInTime) {
         Prev = Var;
       }
     }
-    SatLimits L;
-    L.TimeoutSec = 0.0;
-    ASSERT_EQ(S.solve(L), SatStatus::Unknown);
+    SolverBudget B;
+    B.TimeoutSec = 0.0;
+    ASSERT_EQ(S.solve(TimeLimit(B)), SatStatus::Unknown);
     EXPECT_EQ(S.unknownReason(), support::Reason::Timeout);
     EXPECT_EQ(S.numConflicts(), 0u);
     EXPECT_GE(S.numPropagations(), SatSolver::PropagationsPerPoll);
@@ -209,9 +209,9 @@ TEST(Sat, PropagationHeavySearchStopsInTime) {
 TEST(Sat, ConflictBudgetReturnsUnknown) {
   SatSolver S;
   buildPigeonhole(S, 9); // hard enough to exceed a tiny conflict budget
-  SatLimits L;
-  L.MaxConflicts = 5;
-  SatStatus R = S.solve(L);
+  SolverBudget B;
+  B.MaxConflicts = 5;
+  SatStatus R = S.solve(TimeLimit(B));
   EXPECT_EQ(R, SatStatus::Unknown);
   EXPECT_EQ(S.unknownReason(), support::Reason::ConflictBudget);
 }
@@ -219,10 +219,10 @@ TEST(Sat, ConflictBudgetReturnsUnknown) {
 TEST(Sat, CancellationReturnsUnknown) {
   SatSolver S;
   buildPigeonhole(S, 9);
-  SatLimits L;
+  SolverBudget B;
   std::atomic<bool> Cancel{true}; // already set: solve aborts at entry
-  L.Cancel = &Cancel;
-  SatStatus R = S.solve(L);
+  B.Cancel = &Cancel;
+  SatStatus R = S.solve(TimeLimit(B));
   EXPECT_EQ(R, SatStatus::Unknown);
   EXPECT_EQ(S.unknownReason(), support::Reason::Cancelled);
 }
@@ -231,10 +231,10 @@ TEST(Sat, CancelFlagClearDoesNotDisturbSolve) {
   SatSolver S;
   int A = S.newVar(), B = S.newVar();
   S.addClause(mkLit(A), mkLit(B));
-  SatLimits L;
+  SolverBudget Budget;
   std::atomic<bool> Cancel{false};
-  L.Cancel = &Cancel;
-  EXPECT_EQ(S.solve(L), SatStatus::Sat);
+  Budget.Cancel = &Cancel;
+  EXPECT_EQ(S.solve(TimeLimit(Budget)), SatStatus::Sat);
 }
 
 TEST(Sat, IncrementalSolving) {

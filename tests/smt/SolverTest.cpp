@@ -119,7 +119,7 @@ TEST(Solver, TimeoutVerdict) {
   Expr Hard = mkEq(mkMul(X, Y), mkAdd(mkMul(Y, mkBVNot(X)), mkBV(32, 17)));
   SolverBudget B;
   B.TimeoutSec = 0.02;
-  SolveOutcome R = checkSat(Hard, B);
+  SolveOutcome R = checkSat(Hard, TimeLimit(B));
   // Either the solver is lucky and finds a model fast, or it times out;
   // it must never claim UNSAT.
   EXPECT_FALSE(R.isUnsat());
@@ -134,7 +134,7 @@ TEST(Solver, LiteralBudgetStopsBitBlasting) {
   SolverBudget B;
   B.MaxLiterals = 100;
   prof::Span Check("check");
-  SolveOutcome R = checkSat(mkEq(mkMul(X, Y), mkBV(32, 12345)), B);
+  SolveOutcome R = checkSat(mkEq(mkMul(X, Y), mkBV(32, 12345)), TimeLimit(B));
   ASSERT_TRUE(R.isUnknown());
   EXPECT_EQ(R.UnknownReason, support::Reason::Memory);
   EXPECT_EQ(Check.effort().SatChecks, 0u);
@@ -156,11 +156,11 @@ TEST(Solver, BitBlastingStopsAtTheTimeBudget) {
   }
   SolverBudget B;
   B.TimeoutSec = 0;
-  Solver S(B);
+  Solver S{TimeLimit(B)};
   S.add(F);
   EXPECT_LT(S.numClauses(), 1u << 13);
   prof::Span Check("check");
-  SolveOutcome R = S.check(B);
+  SolveOutcome R = S.check();
   ASSERT_TRUE(R.isUnknown());
   EXPECT_EQ(R.UnknownReason, support::Reason::Timeout);
   EXPECT_EQ(Check.effort().SatChecks, 0u);
