@@ -67,8 +67,6 @@ public:
 
   explicit Oracle(Config C);
 
-  const Config &config() const { return C; }
-
   /// Evaluates every enabled oracle over \p SrcIR and the derived target.
   std::vector<OracleFailure> run(const std::string &SrcIR);
 

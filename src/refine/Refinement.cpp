@@ -46,8 +46,6 @@ std::string Options::validate() const {
     return "retry multiplier must be a finite number greater than 1";
   if (DeadlineSec < 0 || !std::isfinite(DeadlineSec))
     return "deadline must be a non-negative, finite number of seconds";
-  if (!(GovernorSampleSec > 0) || !std::isfinite(GovernorSampleSec))
-    return "governor sample interval must be positive and finite";
   return "";
 }
 
@@ -668,15 +666,23 @@ Verdict RefinementCheck::run() {
 
 Verdict refine::detail::checkPair(const Function &Src, const Function &Tgt,
                                   const Module *M, const Options &Opts,
-                                  support::QueryCache *QC, unsigned Rung) {
+                                  support::QueryCache *QC, unsigned Rung,
+                                  TimeLimit::Instant NotAfter) {
   ALIVE_STAT_COUNTER(Pairs, "refine.pairs");
   Pairs.inc();
   ALIVE_STAT_SAMPLER(VerifyTime, "time.verify");
   prof::Span ProfSpan("verify_pair", Src.name(), VerifyTime);
-  TimeLimit Limit(Opts.Budget);
+  TimeLimit Limit(Opts.Budget, NotAfter);
   RefinementCheck C(Src, Tgt, M, Opts, QC, ProfSpan, Limit);
   Verdict V = C.run();
   V.Rung = Rung;
+  // The batch deadline came before the pair's own instant, so the time
+  // limit that stopped the pair was the deadline's.
+  if (Limit.capped() && V.Kind == VerdictKind::Timeout &&
+      (V.Why == Reason::Timeout || V.Why == Reason::BudgetExhausted)) {
+    V.Why = Reason::DeadlineSkipped;
+    V.Detail = "cancelled by batch deadline";
+  }
   traceVerdict(Src.name(), V);
   return V;
 }

@@ -51,8 +51,6 @@ struct CachePolicy {
   /// Directory of the persistent store; empty = in-memory only. The
   /// Validator loads it on construction and flushes on destruction.
   std::string Dir;
-  /// Per-shard entry bound forwarded to the cache.
-  size_t MaxEntriesPerShard = size_t(1) << 14;
 
   bool anyLevel() const { return QueryLevel || PairLevel; }
   /// Both levels off: every query reaches the solver.
@@ -101,18 +99,19 @@ struct Options {
   /// what a verdict means.
   RetryPolicy Retry;
   /// Total wall-clock deadline in seconds for a Validator's work (0 = none).
-  /// Armed when the Validator is constructed and re-armed at the start of
-  /// each verifyBatch/verifyModules call; once expired, pairs not yet
-  /// dispatched return VerdictKind::DeadlineSkipped and in-flight pairs are
-  /// cancelled. Distinct from Budget.TimeoutSec, which bounds one pair.
+  /// Fixed as one instant on the steady clock when the Validator is
+  /// constructed, and again at the start of each verifyBatch/verifyModules
+  /// call. Every pair attempt's smt::TimeLimit stops at that instant when
+  /// it comes before the pair's own: a pair it stops in flight is a Timeout
+  /// with Reason::DeadlineSkipped, and pairs not yet dispatched return
+  /// VerdictKind::DeadlineSkipped. Distinct from Budget.TimeoutSec, which
+  /// bounds one pair.
   double DeadlineSec = 0;
   /// Memory-watchdog bound on process RSS in bytes (0 = watchdog off). When
-  /// the sampler sees RSS above the bound it cancels the longest-running
-  /// in-flight pair, which surfaces as OutOfMemory with
+  /// the watchdog thread sees RSS above the bound it cancels the
+  /// longest-running in-flight pair, which surfaces as OutOfMemory with
   /// Reason::WatchdogCancelled.
   size_t MaxRssBytes = 0;
-  /// Sampling interval of the governor thread (deadline + watchdog).
-  double GovernorSampleSec = 0.02;
 
   /// Sanity-checks the configuration: rejects a zero unroll factor and
   /// zero / non-finite solver budget fields. \returns an empty string when
@@ -220,12 +219,16 @@ namespace detail {
 /// query (the query level of the result cache); the pair level lives in
 /// the Validator. \p Rung labels the retry-ladder attempt for the verdict
 /// and its trace event (0 = base attempt; the Validator passes escalated
-/// rungs). The free verifyRefinement/verifyModules wrappers that used to
-/// live here are gone — refine::Validator (Validator.h) is the one entry
-/// point.
+/// rungs). \p NotAfter caps the pair's time limit: the Validator passes its
+/// batch deadline, and when that instant comes first, a Timeout it causes
+/// reads Reason::DeadlineSkipped, "cancelled by batch deadline". The free
+/// verifyRefinement/verifyModules wrappers that used to live here are gone
+/// — refine::Validator (Validator.h) is the one entry point.
 Verdict checkPair(const ir::Function &Src, const ir::Function &Tgt,
                   const ir::Module *M, const Options &Opts,
-                  support::QueryCache *QC = nullptr, unsigned Rung = 0);
+                  support::QueryCache *QC = nullptr, unsigned Rung = 0,
+                  smt::TimeLimit::Instant NotAfter =
+                      smt::TimeLimit::Instant::max());
 
 /// Emits the "verdict" trace event of one pair attempt for \p Function,
 /// whichever path decided it (a check, the pair cache, a deadline skip).

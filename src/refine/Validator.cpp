@@ -14,7 +14,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <optional>
 #include <thread>
 
@@ -86,33 +85,46 @@ Validator::Validator(Options Opts) : Opts(std::move(Opts)) {
   if (this->Opts.Cache.anyLevel()) {
     support::QueryCache::Config C;
     C.Dir = this->Opts.Cache.Dir;
-    C.MaxEntriesPerShard = this->Opts.Cache.MaxEntriesPerShard;
     Cache = std::make_unique<support::QueryCache>(std::move(C));
     // A rejected or unreadable store degrades to a cold cache and is
     // rewritten on flush — never a reason to fail validation.
     Cache->load();
   }
-  if (this->Opts.DeadlineSec > 0 || this->Opts.MaxRssBytes > 0)
-    armGovernor(this->Opts.DeadlineSec);
+  setDeadline(this->Opts.DeadlineSec);
+  if (this->Opts.MaxRssBytes > 0) {
+    support::ResourceGovernor::Config C;
+    C.MaxRssBytes = this->Opts.MaxRssBytes;
+    Gov = std::make_unique<support::ResourceGovernor>(C);
+  }
 }
 
 Validator::~Validator() = default;
 
-void Validator::armGovernor(double DeadlineSec) {
-  if (!Gov) {
-    support::ResourceGovernor::Config C;
-    C.DeadlineSec = DeadlineSec;
-    C.MaxRssBytes = Opts.MaxRssBytes;
-    C.SampleIntervalSec = Opts.GovernorSampleSec;
-    Gov = std::make_unique<support::ResourceGovernor>(C);
-  } else {
-    Gov->armDeadline(DeadlineSec);
-  }
+void Validator::setDeadline(double Sec) {
+  DeadlineArmedSec = Sec;
+  Deadline = Sec > 0 ? smt::TimeLimit::after(Sec)
+                     : smt::TimeLimit::Instant::max();
+}
+
+void Validator::reportDeadline(unsigned Stopped, unsigned Skipped) const {
+  if (!Stopped && !Skipped)
+    return;
+  ALIVE_STAT_COUNTER(Tripped, "deadline.tripped");
+  Tripped.inc();
+  if (trace::enabled())
+    trace::Event("deadline")
+        .num("deadline_sec", DeadlineArmedSec)
+        .num("cancelled_inflight", Stopped);
+}
+
+/// Whether the batch deadline stopped the attempt that gave \p V in flight.
+static bool stoppedByDeadline(const Verdict &V) {
+  return V.Kind == VerdictKind::Timeout && V.Why == Reason::DeadlineSkipped;
 }
 
 void Validator::requestCancel() {
   Cancel.requestCancel();
-  // Fan out to in-flight governor jobs: their pairs poll the job flag, not
+  // Fan out to in-flight watchdog jobs: their pairs poll the job flag, not
   // the token's.
   if (Gov)
     Gov->cancelAll();
@@ -160,7 +172,7 @@ bool Validator::settleAttempt(Verdict &V, unsigned Rung, double &Cum) const {
     return false;
   bool Shaped = budgetShaped(V);
   if (Shaped && Rung < Opts.Retry.MaxRungs && !Cancel.isCancelled() &&
-      !(Gov && Gov->deadlineExpired())) {
+      std::chrono::steady_clock::now() < Deadline) {
     ALIVE_STAT_COUNTER(Requeued, "retry.requeued");
     Requeued.inc();
     return true;
@@ -179,7 +191,7 @@ bool Validator::settleAttempt(Verdict &V, unsigned Rung, double &Cum) const {
 Verdict Validator::attemptPair(const ir::Function &Src,
                                const ir::Function &Tgt, const ir::Module *M,
                                unsigned Rung) {
-  if (Gov && Gov->deadlineExpired()) {
+  if (std::chrono::steady_clock::now() >= Deadline) {
     ALIVE_STAT_COUNTER(Skipped, "deadline.skipped");
     Skipped.inc();
     Verdict V;
@@ -204,9 +216,9 @@ Verdict Validator::attemptPair(const ir::Function &Src,
   Options O = Opts;
   O.Budget = budgetForRung(Opts, Rung);
 
-  // Register with the governor (when one is running) so the deadline and
-  // the watchdog can cancel this pair individually; its job flag subsumes
-  // the token's because requestCancel() fans out through cancelAll().
+  // Register with the watchdog (when one is running) so it can cancel this
+  // pair individually; its job flag subsumes the token's because
+  // requestCancel() fans out through cancelAll().
   support::ResourceGovernor::JobScope Job(Gov.get(), Src.name());
   if (!O.Budget.Cancel)
     O.Budget.Cancel = Job.job() ? &Job.job()->Cancel : Cancel.flag();
@@ -225,7 +237,6 @@ Verdict Validator::attemptPair(const ir::Function &Src,
   support::Fingerprint Fp;
   if (PairCache) {
     prof::Span FpSpan("cache_lookup", Src.name());
-    auto Start = std::chrono::steady_clock::now();
     // Escalated budgets make escalated fingerprints: a rung-2 verdict never
     // masquerades as a base-budget one.
     Fp = fingerprintPair(Src, Tgt, M, O);
@@ -239,33 +250,22 @@ Verdict Validator::attemptPair(const ir::Function &Src,
       V.Cached = true;
       V.Why = Reason::Cached;
       V.Rung = Rung;
-      V.Seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - Start)
-                      .count();
+      V.Seconds = FpSpan.seconds();
       detail::traceVerdict(Src.name(), V);
       return V;
     }
   }
 
-  Verdict V = detail::checkPair(Src, Tgt, M, O, QC, Rung);
+  Verdict V = detail::checkPair(Src, Tgt, M, O, QC, Rung, Deadline);
 
-  // A governor trip surfaces from the solver as a cancelled Timeout; the
+  // A watchdog trip surfaces from the solver as a cancelled Timeout; the
   // job records who pulled the trigger, so rewrite the verdict honestly.
   if (Job.job() && V.Kind == VerdictKind::Timeout &&
-      V.Why == Reason::Cancelled) {
-    switch (Job.job()->trip()) {
-    case support::ResourceGovernor::Trip::Watchdog:
-      V.Kind = VerdictKind::OutOfMemory;
-      V.Why = Reason::WatchdogCancelled;
-      V.Detail = "cancelled by memory watchdog";
-      break;
-    case support::ResourceGovernor::Trip::Deadline:
-      V.Why = Reason::DeadlineSkipped;
-      V.Detail = "cancelled by batch deadline";
-      break;
-    case support::ResourceGovernor::Trip::None:
-      break;
-    }
+      V.Why == Reason::Cancelled &&
+      Job.job()->trip() == support::ResourceGovernor::Trip::Watchdog) {
+    V.Kind = VerdictKind::OutOfMemory;
+    V.Why = Reason::WatchdogCancelled;
+    V.Detail = "cancelled by memory watchdog";
   }
 
   // Timeouts and memouts are budget artifacts, not facts about the pair:
@@ -295,8 +295,11 @@ Verdict Validator::verifyPair(const ir::Function &Src, const ir::Function &Tgt,
   double Cum = 0;
   for (unsigned Rung = 0;; ++Rung) {
     Verdict V = attemptPair(Src, Tgt, M, Rung);
-    if (!settleAttempt(V, Rung, Cum))
+    if (!settleAttempt(V, Rung, Cum)) {
+      reportDeadline(stoppedByDeadline(V),
+                     V.Kind == VerdictKind::DeadlineSkipped);
       return V;
+    }
   }
 }
 
@@ -347,11 +350,7 @@ Validator::verifyBatch(const std::vector<PairTask> &Tasks, unsigned Jobs,
     if (Jobs == 0)
       Jobs = 1;
   }
-  double Deadline = DeadlineSec < 0 ? Opts.DeadlineSec : DeadlineSec;
-  if (Deadline > 0)
-    armGovernor(Deadline);
-  else if (Gov)
-    Gov->armDeadline(0);
+  setDeadline(DeadlineSec < 0 ? Opts.DeadlineSec : DeadlineSec);
 
   ALIVE_STAT_COUNTER(Batches, "validator.batches");
   Batches.inc();
@@ -359,46 +358,23 @@ Validator::verifyBatch(const std::vector<PairTask> &Tasks, unsigned Jobs,
   if (trace::enabled()) {
     trace::Event Ev("batch");
     Ev.num("pairs", Tasks.size()).num("jobs", Jobs);
-    if (Deadline > 0)
-      Ev.num("deadline_sec", Deadline);
+    if (DeadlineArmedSec > 0)
+      Ev.num("deadline_sec", DeadlineArmedSec);
   }
 
-  if (Jobs <= 1 || Tasks.size() == 1) {
-    // FIFO requeue: a retry goes to the back, so every pair gets its cheap
-    // base attempt before any pair gets an expensive escalated one.
-    struct Item {
-      unsigned Index;
-      unsigned Rung;
-      double Cum;
-    };
-    std::deque<Item> Queue;
-    for (size_t I = 0; I < Tasks.size(); ++I)
-      Queue.push_back({(unsigned)I, 0, 0});
-    while (!Queue.empty()) {
-      Item It = Queue.front();
-      Queue.pop_front();
-      if (attemptTask(Tasks[It.Index], It.Index, It.Rung, It.Cum,
-                      Out[It.Index]))
-        Queue.push_back({It.Index, It.Rung + 1, It.Cum});
-    }
-    return Out;
-  }
-
-  if (!Pool || Pool->numWorkers() != Jobs)
-    Pool = std::make_unique<support::ThreadPool>(Jobs);
-  // Captured once at fan-out and adopted by each worker, so every per-pair
-  // span (and its whole subtree) parents under this batch span even though
-  // it runs on another thread.
-  prof::Context Ctx = prof::capture();
-  // Retries re-post to the pool rather than looping on the worker: an
-  // escalated attempt goes to the back of the queue and other pairs run
-  // first. Pool->wait() blocks until the pool is fully idle, follow-up
-  // posts included, so the ladder needs no completion bookkeeping. Run is
+  // One pair, or one job: a pool without workers runs the tasks on this
+  // thread.
+  unsigned Workers = Jobs > 1 && Tasks.size() > 1 ? Jobs : 0;
+  if (!Pool || Pool->numWorkers() != Workers)
+    Pool = std::make_unique<support::ThreadPool>(Workers);
+  // A retry re-posts to the back of the queue rather than looping on the
+  // worker, and the base attempts are posted in one step, so every pair
+  // gets its cheap base attempt before any pair gets an expensive escalated
+  // one. Pool->wait() blocks until the pool is fully idle, follow-up posts
+  // included, so the ladder needs no completion bookkeeping. Run is
   // self-referential; it stays alive until wait() returns.
   std::function<void(unsigned, unsigned, double)> Run =
-      [this, &Tasks, &Out, &Ctx, &Run](unsigned Index, unsigned Rung,
-                                       double Cum) {
-        prof::Adopt Adopt(Ctx);
+      [this, &Tasks, &Out, &Run](unsigned Index, unsigned Rung, double Cum) {
         bool Retry = false;
         try {
           Retry = attemptTask(Tasks[Index], Index, Rung, Cum, Out[Index]);
@@ -412,9 +388,18 @@ Validator::verifyBatch(const std::vector<PairTask> &Tasks, unsigned Jobs,
         if (Retry)
           Pool->post([&Run, Index, Rung, Cum] { Run(Index, Rung + 1, Cum); });
       };
-  for (size_t I = 0; I < Tasks.size(); ++I)
-    Pool->post([&Run, I] { Run((unsigned)I, 0, 0); });
+  std::vector<std::function<void()>> Base;
+  for (unsigned I = 0; I < Tasks.size(); ++I)
+    Base.push_back([&Run, I] { Run(I, 0, 0); });
+  Pool->post(std::move(Base));
   Pool->wait();
+
+  unsigned Stopped = 0, Skipped = 0;
+  for (const PairResult &R : Out) {
+    Stopped += stoppedByDeadline(R.V);
+    Skipped += R.V.Kind == VerdictKind::DeadlineSkipped;
+  }
+  reportDeadline(Stopped, Skipped);
   return Out;
 }
 

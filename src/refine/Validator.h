@@ -6,28 +6,33 @@
 ///
 /// \file
 /// The front door of the refinement layer: a Validator owns the Options, a
-/// cancellation token and (lazily) a work-stealing thread pool, and verifies
-/// single pairs, explicit pair batches, or whole module pairs with a
-/// configurable job count. Batch entry points can stream verdicts through
-/// onVerdict() as workers complete them, so a driver validating tens of
-/// thousands of pairs (the paper's Sections 7-8 evaluations) reports
-/// progress long before the slowest pair finishes.
+/// cancellation token and (lazily) a FIFO thread pool, and verifies single
+/// pairs, explicit pair batches, or whole module pairs with a configurable
+/// job count. Every batch takes one path: its tasks are posted to the pool
+/// and the call waits, on the pool's workers or, with one job or one pair,
+/// on the calling thread. Batch entry points can stream verdicts through
+/// onVerdict() as they complete, so a driver validating tens of thousands
+/// of pairs (the paper's Sections 7-8 evaluations) reports progress long
+/// before the slowest pair finishes.
 ///
 /// Resource governance (see DESIGN.md "Resource governance"): when
 /// Options::Retry enables the budget-escalation ladder, Timeout/OutOfMemory
 /// verdicts with a budget-shaped Reason are retried with the SolverBudget
-/// scaled by Multiplier^rung; the final Verdict records the rung and the
-/// cumulative wall cost across attempts. A batch deadline (Options or the
-/// per-call override) makes undispatched pairs return DeadlineSkipped —
-/// never Timeout — and cancels in-flight pairs; the memory watchdog cancels
-/// the longest-running pair when process RSS exceeds Options::MaxRssBytes,
-/// surfacing as OutOfMemory with Reason::WatchdogCancelled. Both are driven
-/// by a support::ResourceGovernor sampler thread owned by the Validator.
+/// scaled by Multiplier^rung, each retry queued behind every base attempt;
+/// the final Verdict records the rung and the cumulative wall cost across
+/// attempts. A batch deadline (Options or the per-call override) is one
+/// instant on the steady clock: undispatched pairs return DeadlineSkipped —
+/// never Timeout — and it caps each attempt's smt::TimeLimit, so an
+/// in-flight pair stops at its next poll after it. The memory watchdog, a
+/// support::ResourceGovernor thread that exists only when
+/// Options::MaxRssBytes is set, cancels the longest-running pair when
+/// process RSS exceeds the bound, surfacing as OutOfMemory with
+/// Reason::WatchdogCancelled.
 ///
 /// Threading model: every pair is verified entirely on one thread — the
 /// expression context is thread-local (see smt/Expr.h), so workers never
 /// contend on the interning hot path, and a Verdict carries only plain data
-/// and may cross threads freely. The token's flag (or the pair's governor
+/// and may cross threads freely. The token's flag (or the pair's watchdog
 /// job flag, which the token fans out to) is installed into each pair's
 /// SolverBudget; requestCancel() therefore interrupts even a SAT search
 /// already in flight (verdict: Timeout, Reason::Cancelled).
@@ -121,23 +126,26 @@ public:
 
   /// Verifies that \p Tgt refines \p Src; \p M provides globals (may be
   /// null). Runs on the calling thread — the retry ladder included — and
-  /// leaves its expression context alone. Invalid options yield a Failed
-  /// verdict ("options").
+  /// leaves its expression context alone. The batch deadline armed last
+  /// (at construction or by the latest batch call) applies. Invalid options
+  /// yield a Failed verdict ("options").
   Verdict verifyPair(const ir::Function &Src, const ir::Function &Tgt,
                      const ir::Module *M = nullptr);
 
   /// Verifies every task across \p Jobs workers (0 = one per hardware
-  /// thread; 1 = on the calling thread). Results come back in task order;
-  /// onVerdict streams them in completion order. Each task resets its
-  /// worker's expression context first, so with Jobs <= 1 the CALLING
-  /// thread's context is reset: do not hold live smt::Expr handles across
-  /// this call.
+  /// thread; 1, or a single task, = on the calling thread). Attempts start
+  /// in task order, retries after every base attempt. Results come back in
+  /// task order; onVerdict streams them in completion order. Each task
+  /// resets its thread's expression context first, so on the calling thread
+  /// the CALLER's context is reset: do not hold live smt::Expr handles
+  /// across this call. An attempt that throws gives a Failed verdict
+  /// ("exception").
   ///
   /// \p DeadlineSec bounds the batch's wall clock: negative (default) uses
-  /// Options::DeadlineSec, 0 disables, positive overrides. The clock is
-  /// re-armed when the call starts; once it expires, pairs not yet
-  /// dispatched return VerdictKind::DeadlineSkipped and in-flight pairs
-  /// are cancelled.
+  /// Options::DeadlineSec, 0 disables, positive overrides. The deadline is
+  /// fixed as an instant when the call starts; pairs not yet dispatched by
+  /// then return VerdictKind::DeadlineSkipped and in-flight pairs stop at
+  /// their next poll after it.
   std::vector<PairResult> verifyBatch(const std::vector<PairTask> &Tasks,
                                       unsigned Jobs = 1,
                                       double DeadlineSec = -1);
@@ -170,8 +178,8 @@ public:
 private:
   void emit(const PairResult &R);
   /// One ladder attempt on the current thread: deadline/cancel gates, the
-  /// rung-scaled budget, governor job registration, pair cache, checkPair,
-  /// and the governor-trip verdict rewrite.
+  /// rung-scaled budget, watchdog job registration, pair cache, checkPair
+  /// under the deadline, and the watchdog-trip verdict rewrite.
   Verdict attemptPair(const ir::Function &Src, const ir::Function &Tgt,
                       const ir::Module *M, unsigned Rung);
   /// Settles the attempt at \p Rung that gave \p V: stamps its rung and
@@ -185,9 +193,12 @@ private:
   /// stored in \p Out and emitted.
   bool attemptTask(const PairTask &T, unsigned Index, unsigned Rung,
                    double &Cum, PairResult &Out);
-  /// Ensures the governor exists (creating it lazily for per-call
-  /// deadlines) and arms \p DeadlineSec on it.
-  void armGovernor(double DeadlineSec);
+  /// Fixes the batch deadline \p Sec seconds from now; 0 disarms it.
+  void setDeadline(double Sec);
+  /// Counts deadline.tripped and emits the "deadline" trace event once for
+  /// a call whose deadline stopped \p Stopped pairs in flight or skipped
+  /// \p Skipped undispatched ones; nothing when both are 0.
+  void reportDeadline(unsigned Stopped, unsigned Skipped) const;
 
   Options Opts;
   support::CancellationToken Cancel;
@@ -195,7 +206,11 @@ private:
   VerdictCallback Callback;
   std::unique_ptr<support::ThreadPool> Pool; ///< lazily sized to Jobs
   std::unique_ptr<support::QueryCache> Cache;
-  std::unique_ptr<support::ResourceGovernor> Gov;
+  std::unique_ptr<support::ResourceGovernor> Gov; ///< the watchdog, if any
+  /// The batch deadline: the instant every attempt's TimeLimit stops at
+  /// (max() when disarmed), and the seconds it was armed with.
+  smt::TimeLimit::Instant Deadline = smt::TimeLimit::Instant::max();
+  double DeadlineArmedSec = 0;
 };
 
 } // namespace alive::refine

@@ -55,9 +55,15 @@ public:
   /// descending.
   bool overBudget() const { return Stop != Reason::None; }
   /// Why blasting stopped: Memory past the literal budget, Timeout or
-  /// Cancelled from the time limit, polled every ClausesPerPoll clauses;
-  /// None while it runs.
+  /// Cancelled from the time limit, polled every ClausesPerPoll clauses or
+  /// passed in by stop(); None while it runs.
   Reason stopReason() const { return Stop; }
+  /// Stops blasting for \p Why (a poll's answer outside the blaster), unless
+  /// it has stopped already.
+  void stop(Reason Why) {
+    if (Stop == Reason::None)
+      Stop = Why;
+  }
 
   /// CNF-size telemetry (cumulative since construction; the Solver facade
   /// flushes deltas into the stats registry per check).

@@ -430,11 +430,20 @@ uint64_t SatSolver::lubySequence(uint64_t I) {
   return 1ull << (K - 1);
 }
 
-TimeLimit::TimeLimit(const SolverBudget &Budget) : Budget(Budget) {
-  if (Budget.TimeoutSec < 1e9)
-    Until = std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(Budget.TimeoutSec));
+TimeLimit::TimeLimit(const SolverBudget &Budget, Instant NotAfter)
+    : Budget(Budget), Until(after(Budget.TimeoutSec)) {
+  if (NotAfter < Until) {
+    Until = NotAfter;
+    Capped = true;
+  }
+}
+
+TimeLimit::Instant TimeLimit::after(double Sec) {
+  if (!(Sec < 1e9))
+    return Instant::max();
+  return std::chrono::steady_clock::now() +
+         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double>(Sec));
 }
 
 Reason TimeLimit::poll() const {

@@ -68,20 +68,32 @@ struct SolverBudget {
 };
 
 /// A SolverBudget in force: its time limit fixed once, when the TimeLimit
-/// is built, as the instant TimeoutSec later on the steady clock. A pair
-/// builds one when its verify_pair span opens, a standalone query at its
-/// top-level call, and every layer below (the SAT search, bit-blasting, each
-/// exists-forall query and its rounds, each staged query) polls that one
-/// instant through poll().
+/// is built, as the instant TimeoutSec later on the steady clock, or an
+/// earlier instant the caller caps it with (a Validator's batch deadline).
+/// A pair builds one when its verify_pair span opens, a standalone query at
+/// its top-level call, and every layer below (the SAT search, bit-blasting,
+/// each exists-forall query and its rounds, each staged query) polls that
+/// one instant through poll().
 class TimeLimit {
 public:
-  /// Starts \p Budget now. A TimeoutSec beyond the clock's range (a default
-  /// 60 s is far inside it) means no limit.
-  explicit TimeLimit(const SolverBudget &Budget = SolverBudget());
+  using Instant = std::chrono::steady_clock::time_point;
+
+  /// Starts \p Budget now: the instant is TimeoutSec from now, or
+  /// \p NotAfter when that comes first.
+  explicit TimeLimit(const SolverBudget &Budget = SolverBudget(),
+                     Instant NotAfter = Instant::max());
+
+  /// The instant \p Sec seconds from now; Instant::max(), no limit, when
+  /// \p Sec lies beyond the clock's range (a default 60 s is far inside it).
+  static Instant after(double Sec);
 
   /// Reason::Cancelled when the cancel flag is set, else Reason::Timeout
   /// when the clock is past the instant, else Reason::None: go on.
   Reason poll() const;
+
+  /// True when NotAfter, not TimeoutSec, fixed the instant: every Timeout
+  /// poll() answers is then NotAfter's.
+  bool capped() const { return Capped; }
 
   /// The budget this limit started; its MaxLiterals and MaxConflicts bound
   /// each solver and each check.
@@ -89,8 +101,8 @@ public:
 
 private:
   SolverBudget Budget;
-  std::chrono::steady_clock::time_point Until =
-      std::chrono::steady_clock::time_point::max();
+  Instant Until;
+  bool Capped = false;
 };
 
 /// CDCL solver. Usage: newVar()* -> addClause()* -> solve() -> modelValue().

@@ -76,6 +76,12 @@ void Solver::add(Expr E) {
   if (TriviallyUnsat)
     return;
   assert(E.isBool() && "assertions must be Bool");
+  // One poll per assertion: Ackermannization, the walks below and blasting
+  // up to the blaster's first clause poll read no clock.
+  if (Reason Why = Limit.poll(); Why != Reason::None) {
+    Blaster->stop(Why);
+    return;
+  }
   if (Ack.addApps({&E, 1}, [this](Expr Axiom, bool) {
         ALIVE_STAT_COUNTER(AckAxioms, "solver.ack_axioms");
         AckAxioms.inc();

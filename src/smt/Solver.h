@@ -97,7 +97,9 @@ public:
   Solver(const Solver &) = delete;
   Solver &operator=(const Solver &) = delete;
 
-  /// Asserts the Bool expression \p E (conjunction semantics).
+  /// Asserts the Bool expression \p E (conjunction semantics). Polls the
+  /// limit first: once it answers, bit-blasting stops and check() answers
+  /// Unknown without searching.
   void add(Expr E);
 
   /// Checks satisfiability of all assertions so far.

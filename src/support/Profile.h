@@ -20,10 +20,10 @@
 /// entirely on one thread (see refine::Validator), so attribution stays
 /// exact under `-j N`; deltas are inclusive of child spans.
 ///
-/// Spans cross ThreadPool/Validator job boundaries explicitly: the
-/// submitting thread captures a Context (current span id + path) at
-/// fan-out, and the worker installs it with an Adopt guard, making the
-/// batch span the parent of every per-pair span it spawned.
+/// Spans cross thread boundaries explicitly: support::ThreadPool::post
+/// captures a Context (current span id + path) on the posting thread, and
+/// the worker that runs the task installs it with an Adopt guard, making
+/// the batch span the parent of every per-pair span it spawned.
 ///
 /// Profiling (off by default) decides only whether a span gets an id and a
 /// record; the tally increments are unconditional plain thread_local adds

@@ -1,4 +1,4 @@
-//===- support/ResourceGovernor.cpp - Deadline + memory watchdog ---------===//
+//===- support/ResourceGovernor.cpp - Memory watchdog --------------------===//
 //
 // Part of the alive2re project, under the MIT license.
 //
@@ -21,14 +21,7 @@ using namespace alive::support;
 
 using Clock = std::chrono::steady_clock;
 
-static Clock::duration secondsToDuration(double Sec) {
-  return std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(Sec));
-}
-
 ResourceGovernor::ResourceGovernor(Config C) : Cfg(C) {
-  if (Cfg.DeadlineSec > 0)
-    armDeadline(Cfg.DeadlineSec);
   Sampler = std::thread([this] { samplerLoop(); });
 }
 
@@ -39,19 +32,6 @@ ResourceGovernor::~ResourceGovernor() {
   }
   Cv.notify_all();
   Sampler.join();
-}
-
-void ResourceGovernor::armDeadline(double Sec) {
-  std::lock_guard<std::mutex> L(Mu);
-  DeadlineSec = Sec;
-  DeadlineEpoch = Clock::now();
-  DeadlineHit = false;
-}
-
-bool ResourceGovernor::deadlineExpired() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return DeadlineSec > 0 &&
-         Clock::now() >= DeadlineEpoch + secondsToDuration(DeadlineSec);
 }
 
 std::shared_ptr<ResourceGovernor::Job>
@@ -102,40 +82,19 @@ size_t ResourceGovernor::processRssBytes() {
 
 void ResourceGovernor::samplerLoop() {
   ALIVE_STAT_COUNTER(SampleCount, "watchdog.samples");
-  ALIVE_STAT_COUNTER(DeadlineTripped, "deadline.tripped");
   ALIVE_STAT_COUNTER(WatchdogTrips, "watchdog.trips");
   ALIVE_STAT_COUNTER(WatchdogCancelled, "watchdog.cancelled");
   ALIVE_STAT_SAMPLER(RssMb, "watchdog.rss_mb");
 
-  auto Interval = secondsToDuration(
-      Cfg.SampleIntervalSec > 0 ? Cfg.SampleIntervalSec : 0.02);
+  auto Interval = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(
+          Cfg.SampleIntervalSec > 0 ? Cfg.SampleIntervalSec : 0.02));
 
   std::unique_lock<std::mutex> L(Mu);
   while (!Stop) {
     Cv.wait_for(L, Interval, [this] { return Stop; });
     if (Stop)
       break;
-
-    // Deadline: cancel every in-flight job once per arming. Undispatched
-    // pairs are handled by the Validator's own deadlineExpired() check.
-    if (DeadlineSec > 0 && !DeadlineHit &&
-        Clock::now() >= DeadlineEpoch + secondsToDuration(DeadlineSec)) {
-      DeadlineHit = true;
-      unsigned Cancelled = 0;
-      for (auto &J : Active) {
-        if (J->Cancel.load(std::memory_order_acquire))
-          continue;
-        J->Why.store(Trip::Deadline, std::memory_order_relaxed);
-        J->Cancel.store(true, std::memory_order_release);
-        ++Cancelled;
-      }
-      DeadlineTripped.inc();
-      if (trace::enabled())
-        trace::Event("deadline")
-            .num("deadline_sec", DeadlineSec)
-            .num("cancelled_inflight", Cancelled);
-    }
-
     if (!Cfg.MaxRssBytes)
       continue;
 

@@ -1,29 +1,27 @@
-//===- support/ResourceGovernor.h - Deadline + memory watchdog --*- C++ -*-==//
+//===- support/ResourceGovernor.h - Memory watchdog -------------*- C++ -*-==//
 //
 // Part of the alive2re project, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The resource-governance sampler behind refine::Validator: one background
-/// thread that (a) watches a wall-clock deadline for the whole batch and
-/// (b) samples process RSS against a global bound (the memory watchdog).
-/// Work units register as Jobs; each Job owns an atomic cancel flag that
-/// the Validator wires into the pair's SolverBudget, so the governor can
-/// cancel exactly one in-flight pair without disturbing its siblings —
-/// unlike the Validator's CancellationToken, which is all-or-nothing.
+/// The memory watchdog behind refine::Validator: one background thread that
+/// samples process RSS against a global bound. Work units register as Jobs;
+/// each Job owns an atomic cancel flag that the Validator wires into the
+/// pair's SolverBudget, so the watchdog can cancel exactly one in-flight
+/// pair without disturbing its siblings — unlike the Validator's
+/// CancellationToken, which is all-or-nothing. (The batch deadline needs
+/// no thread: it is an instant in each pair's smt::TimeLimit.)
 ///
-/// Policy: when the deadline trips, every in-flight job is cancelled once
-/// (pairs not yet dispatched are the Validator's problem — it checks
-/// deadlineExpired() before starting work). When RSS exceeds the bound, the
-/// watchdog cancels the longest-running un-cancelled job — the best cheap
-/// proxy for "most expensive" — and rechecks on the next sample, shedding
-/// one job per tick until the process is back under the bound or idle.
-/// Each cancellation records why (Trip) so the Validator can rewrite the
-/// resulting cancelled-Timeout verdict honestly.
+/// Policy: when RSS exceeds the bound, the watchdog cancels the
+/// longest-running un-cancelled job — the best cheap proxy for "most
+/// expensive" — and rechecks on the next sample, shedding one job per tick
+/// until the process is back under the bound or idle. Each such
+/// cancellation records its Trip so the Validator can rewrite the resulting
+/// cancelled-Timeout verdict honestly.
 ///
-/// Observability: deadline.* / watchdog.* counters, a watchdog.rss_mb
-/// sample distribution, and "deadline" / "watchdog" trace events.
+/// Observability: watchdog.* counters, a watchdog.rss_mb sample
+/// distribution, and "watchdog" trace events.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,9 +42,6 @@ namespace alive::support {
 class ResourceGovernor {
 public:
   struct Config {
-    /// Wall-clock deadline armed at construction (0 = none). Re-armable
-    /// per batch via armDeadline().
-    double DeadlineSec = 0;
     /// Process RSS bound in bytes (0 = watchdog off).
     size_t MaxRssBytes = 0;
     /// Sampler wake-up interval.
@@ -55,7 +50,7 @@ public:
 
   /// Who cancelled a job. None means the flag was set by cancelAll() (user
   /// cancellation) or not at all.
-  enum class Trip : uint8_t { None, Deadline, Watchdog };
+  enum class Trip : uint8_t { None, Watchdog };
 
   /// One governed work unit. The Cancel flag is what the solver polls
   /// (via SolverBudget::Cancel and smt::TimeLimit::poll); Why is written
@@ -78,12 +73,6 @@ public:
 
   ResourceGovernor(const ResourceGovernor &) = delete;
   ResourceGovernor &operator=(const ResourceGovernor &) = delete;
-
-  /// (Re-)arms the deadline clock: \p Sec seconds from now; 0 disarms.
-  void armDeadline(double Sec);
-  /// True once the armed deadline has passed. Computed on demand from the
-  /// clock (not the sampler), so dispatch-time skip checks are exact.
-  bool deadlineExpired() const;
 
   /// Registers an in-flight work unit. Prefer JobScope.
   std::shared_ptr<Job> beginJob(std::string Name);
@@ -125,11 +114,6 @@ private:
   mutable std::mutex Mu;
   std::condition_variable Cv;
   std::vector<std::shared_ptr<Job>> Active; ///< guarded by Mu
-  // Deadline state, guarded by Mu. Hit latches so in-flight cancellation
-  // happens exactly once per arming.
-  double DeadlineSec = 0;
-  std::chrono::steady_clock::time_point DeadlineEpoch;
-  bool DeadlineHit = false;
   bool Stop = false; ///< guarded by Mu; Cv-signalled
   std::thread Sampler;
 };

@@ -1,37 +1,24 @@
-//===- support/ThreadPool.cpp - Work-stealing thread pool -------------------==//
+//===- support/ThreadPool.cpp - FIFO thread pool ----------------------------==//
 //
 // Part of the alive2re project, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/ThreadPool.h"
-#include "support/Profile.h"
+
+#include <optional>
 
 using namespace alive;
 using namespace alive::support;
 
-namespace {
-
-/// Identifies the pool and worker index of the current thread, so post()
-/// from inside a task targets the caller's own deque.
-thread_local ThreadPool *CurrentPool = nullptr;
-thread_local unsigned CurrentWorker = ~0u;
-
-} // namespace
-
 ThreadPool::ThreadPool(unsigned Workers) {
-  if (Workers == 0) {
-    Workers = std::thread::hardware_concurrency();
-    if (Workers == 0)
-      Workers = 1;
-  }
-  Queues.resize(Workers);
   Threads.reserve(Workers);
   for (unsigned I = 0; I < Workers; ++I)
-    Threads.emplace_back([this, I] { workerLoop(I); });
+    Threads.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
+  wait();
   {
     std::lock_guard<std::mutex> Lock(Mu);
     Stopping = true;
@@ -42,61 +29,63 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::post(std::function<void()> Fn) {
+  std::vector<std::function<void()>> One;
+  One.push_back(std::move(Fn));
+  post(std::move(One));
+}
+
+void ThreadPool::post(std::vector<std::function<void()>> Fns) {
+  prof::Context Ctx = Threads.empty() ? prof::Context() : prof::capture();
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    if (CurrentPool == this)
-      Queues[CurrentWorker].push_back(std::move(Fn));
-    else
-      Queues[NextQueue++ % Queues.size()].push_back(std::move(Fn));
-    ++PendingTasks;
+    for (std::function<void()> &Fn : Fns)
+      Queue.push_back({std::move(Fn), Ctx});
+    PendingTasks += Fns.size();
   }
-  WorkCv.notify_one();
+  if (Fns.size() == 1)
+    WorkCv.notify_one();
+  else
+    WorkCv.notify_all();
 }
 
 void ThreadPool::wait() {
   std::unique_lock<std::mutex> Lock(Mu);
+  while (Threads.empty() && !Queue.empty())
+    runFront(Lock);
   IdleCv.wait(Lock, [this] { return PendingTasks == 0; });
 }
 
-bool ThreadPool::popTask(unsigned Self, std::function<void()> &Out) {
-  auto &Own = Queues[Self];
-  if (!Own.empty()) {
-    Out = std::move(Own.back());
-    Own.pop_back();
-    return true;
+void ThreadPool::runFront(std::unique_lock<std::mutex> &Lock) {
+  Task T = std::move(Queue.front());
+  Queue.pop_front();
+  Lock.unlock();
+  {
+    // Only a worker adopts: the caller of a worker-less pool's wait() is
+    // where the task was posted, so its own open spans are the parents.
+    std::optional<prof::Adopt> Adopted;
+    if (!Threads.empty())
+      Adopted.emplace(T.Ctx);
+    T.Fn();
   }
-  for (unsigned I = 1; I < Queues.size(); ++I) {
-    auto &Victim = Queues[(Self + I) % Queues.size()];
-    if (!Victim.empty()) {
-      Out = std::move(Victim.front());
-      Victim.pop_front();
-      return true;
-    }
-  }
-  return false;
+  // Release the task's captures before retaking the lock, so heavy
+  // destructors run unlocked.
+  T = Task();
+  Lock.lock();
+  if (--PendingTasks == 0)
+    IdleCv.notify_all();
 }
 
-void ThreadPool::workerLoop(unsigned Self) {
-  CurrentPool = this;
-  CurrentWorker = Self;
+void ThreadPool::workerLoop() {
   // Claim a profiler thread id up front so workers own the low, dense ids
   // (stable Perfetto track order) regardless of which one runs a task first.
   prof::threadId();
   std::unique_lock<std::mutex> Lock(Mu);
   while (true) {
-    std::function<void()> Task;
-    if (popTask(Self, Task)) {
-      Lock.unlock();
-      Task();
-      // Release the task's captures (e.g. the shared packaged_task) before
-      // retaking the lock, so heavy destructors run unlocked.
-      Task = nullptr;
-      Lock.lock();
-      if (--PendingTasks == 0)
-        IdleCv.notify_all();
+    if (!Queue.empty()) {
+      runFront(Lock);
       continue;
     }
-    // Drain-before-stop: the destructor runs every queued task.
+    // Drain-before-stop: the destructor waits for every queued task.
     if (Stopping)
       return;
     WorkCv.wait(Lock);

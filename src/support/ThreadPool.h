@@ -1,37 +1,38 @@
-//===- support/ThreadPool.h - Work-stealing thread pool ---------*- C++ -*-==//
+//===- support/ThreadPool.h - FIFO thread pool ------------------*- C++ -*-==//
 //
 // Part of the alive2re project, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size work-stealing thread pool plus a cooperative cancellation
-/// token, the scheduling substrate of the batch-verification engine
-/// (refine::Validator). Each worker owns a deque: it pushes and pops its own
-/// work LIFO (locality for tasks spawned from tasks) and steals FIFO from
-/// the other workers when its deque runs dry. External submissions are
-/// distributed round-robin, so a batch of independent verification jobs
-/// spreads across all workers immediately.
+/// A fixed-size thread pool with one FIFO queue, plus a cooperative
+/// cancellation token: the scheduling substrate of the batch-verification
+/// engine (refine::Validator). post() appends to the back of the queue and
+/// a worker pops the front, so tasks start in post order, and a task posted
+/// by a running task starts after everything queued before it. A pool
+/// built with zero worker threads runs its queue, follow-ups included, on
+/// the thread that calls wait() (or its destructor).
 ///
 /// Tasks are coarse (one SMT verification each, milliseconds to minutes), so
-/// a single mutex guards all deques; the scheduling cost is noise next to
-/// the work. Exceptions thrown by a submitted callable are captured in the
-/// returned future. The destructor drains every queued task before joining.
+/// one mutex guards the queue; the scheduling cost is noise next to the
+/// work. A worker runs each task under the profiler context of the post
+/// that queued it (prof::Adopt), so spans a task opens parent under the
+/// span that was open where it was posted. The destructor drains every
+/// queued task before joining.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ALIVE2RE_SUPPORT_THREADPOOL_H
 #define ALIVE2RE_SUPPORT_THREADPOOL_H
 
+#include "support/Profile.h"
+
 #include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace alive::support {
@@ -57,11 +58,11 @@ private:
   std::atomic<bool> Flag{false};
 };
 
-/// Fixed worker pool with per-worker deques and work stealing.
+/// Fixed worker pool over one FIFO queue.
 class ThreadPool {
 public:
-  /// \p Workers == 0 means one worker per hardware thread.
-  explicit ThreadPool(unsigned Workers = 0);
+  /// Starts \p Workers threads; with 0 the caller of wait() runs the tasks.
+  explicit ThreadPool(unsigned Workers);
   /// Drains all queued tasks, then joins the workers.
   ~ThreadPool();
 
@@ -70,37 +71,35 @@ public:
 
   unsigned numWorkers() const { return (unsigned)Threads.size(); }
 
-  /// Schedules \p Fn and returns a future carrying its result or exception.
-  /// Safe to call from worker threads (the subtask goes to the caller's own
-  /// deque, LIFO, and cannot deadlock the pool).
-  template <typename F> auto submit(F &&Fn) {
-    using R = std::invoke_result_t<std::decay_t<F> &>;
-    auto Task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(Fn));
-    std::future<R> Fut = Task->get_future();
-    post([Task] { (*Task)(); });
-    return Fut;
-  }
-
-  /// Fire-and-forget submission. \p Fn must not throw (there is no future
-  /// to carry the exception; an escaping one terminates the process).
+  /// Appends \p Fn to the back of the queue. Safe to call from a running
+  /// task. \p Fn must not throw (an escaping exception terminates the
+  /// process).
   void post(std::function<void()> Fn);
+  /// Appends every task of \p Fns in order, in one step: none of them
+  /// starts before the last is queued, so a task one of them posts lands
+  /// behind all of them.
+  void post(std::vector<std::function<void()>> Fns);
 
-  /// Blocks until every task posted so far has finished. Tasks may keep
-  /// posting follow-up work; wait() returns once the pool is fully idle.
+  /// Blocks until every task posted so far has finished, follow-ups
+  /// included. Without workers, runs them on the calling thread.
   void wait();
 
 private:
-  void workerLoop(unsigned Self);
-  /// Pops own work (back) or steals (front). Caller holds Mu.
-  bool popTask(unsigned Self, std::function<void()> &Out);
+  struct Task {
+    std::function<void()> Fn;
+    /// The poster's span context; empty in a pool without workers.
+    prof::Context Ctx;
+  };
 
-  mutable std::mutex Mu;
+  void workerLoop();
+  /// Pops the front task and runs it with Mu released. Caller holds Mu.
+  void runFront(std::unique_lock<std::mutex> &Lock);
+
+  std::mutex Mu;
   std::condition_variable WorkCv; ///< workers sleep here
   std::condition_variable IdleCv; ///< wait() sleeps here
-  std::vector<std::deque<std::function<void()>>> Queues; // one per worker
+  std::deque<Task> Queue;
   std::vector<std::thread> Threads;
-  unsigned NextQueue = 0;    ///< round-robin slot for external posts
   unsigned PendingTasks = 0; ///< queued + running
   bool Stopping = false;
 };

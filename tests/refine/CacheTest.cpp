@@ -131,7 +131,6 @@ TEST(Cache, OptionChangesInvalidate) {
   EXPECT_EQ(fingerprintPair(*SF, *TF, SrcM.get(), O), Fp);
   O = Base;
   O.MaxRssBytes = size_t(1) << 30;
-  O.GovernorSampleSec = 0.5;
   EXPECT_EQ(fingerprintPair(*SF, *TF, SrcM.get(), O), Fp);
 
   // Different functions, different keys.

@@ -5,18 +5,25 @@
 //===----------------------------------------------------------------------===//
 // The resource-governance tentpole end to end: the budget-escalation retry
 // ladder (deterministic: rung 0 is strangled by a sub-measurable budget,
-// rung 1 solves), batch deadlines (undispatched pairs come back as
-// DeadlineSkipped, never Timeout), the cache discipline (only the ladder's
-// final verdict is cached), and — under the concurrency label (tier 2,
-// TSan) — the memory watchdog cancelling parallel in-flight pairs.
+// rung 1 solves) and its queue order, batch deadlines (undispatched pairs
+// come back as DeadlineSkipped, never Timeout), the cache discipline (only
+// the ladder's final verdict is cached), and — under the concurrency label
+// (tier 2, TSan) — the memory watchdog cancelling parallel in-flight pairs.
 //===----------------------------------------------------------------------===//
 
 #include "ir/Parser.h"
 #include "refine/Validator.h"
+#include "support/Profile.h"
 #include "support/ResourceGovernor.h"
 #include "support/Stats.h"
 
 #include "gtest/gtest.h"
+
+#include <algorithm>
+#include <filesystem>
+#include <map>
+#include <set>
+#include <string>
 
 using namespace alive;
 using namespace alive::refine;
@@ -123,6 +130,49 @@ TEST(Retry, BatchLadderMatchesSinglePairLadder) {
   EXPECT_EQ(S.Correct, 1u);
 }
 
+// Eight pairs, each escalated once, at -j 2: the FIFO queue hands out every
+// base attempt before any retry. A worker's attempts run one after another,
+// so on each worker every base attempt starts before any retry (comparing
+// starts across workers would time their scheduling, not the queue).
+TEST(Retry, EscalationsStartAfterEveryBaseAttempt) {
+  auto SrcM = ir::parseModuleOrDie(EasySrc);
+  auto TgtM = ir::parseModuleOrDie(EasyTgt);
+  Validator V(ladderOpts());
+  std::vector<Validator::PairTask> Tasks;
+  for (int I = 0; I < 8; ++I)
+    Tasks.push_back({SrcM->function(0u), TgtM->function(0u), SrcM.get(),
+                     "easy-" + std::to_string(I)});
+  prof::start();
+  auto Results = V.verifyBatch(Tasks, /*Jobs=*/2);
+  prof::stop();
+  for (const PairResult &R : Results) {
+    EXPECT_EQ(R.V.Kind, VerdictKind::Correct) << R.Name;
+    EXPECT_EQ(R.V.Rung, 1u) << R.Name;
+  }
+  // An escalated attempt's verify_pair span opens inside its retry_attempt
+  // span; every other verify_pair span is a base attempt.
+  std::vector<prof::SpanRecord> Spans = prof::snapshot();
+  std::set<uint64_t> Retries;
+  std::map<unsigned, double> FirstRetry; // per thread
+  for (const prof::SpanRecord &S : Spans)
+    if (std::string(S.Name) == "retry_attempt") {
+      Retries.insert(S.Id);
+      auto [It, New] = FirstRetry.emplace(S.Tid, S.StartSec);
+      if (!New)
+        It->second = std::min(It->second, S.StartSec);
+    }
+  EXPECT_EQ(Retries.size(), 8u);
+  unsigned Bases = 0;
+  for (const prof::SpanRecord &S : Spans)
+    if (std::string(S.Name) == "verify_pair" && !Retries.count(S.Parent)) {
+      ++Bases;
+      auto It = FirstRetry.find(S.Tid);
+      if (It != FirstRetry.end())
+        EXPECT_LT(S.StartSec, It->second) << "thread " << S.Tid;
+    }
+  EXPECT_EQ(Bases, 8u);
+}
+
 TEST(Retry, OnlyFinalVerdictReachesTheCache) {
   auto SrcM = ir::parseModuleOrDie(EasySrc);
   auto TgtM = ir::parseModuleOrDie(EasyTgt);
@@ -156,7 +206,6 @@ TEST(Retry, DeadlineSkipsUndispatchedPairsDistinctly) {
   Options O;
   O.Budget.TimeoutSec = 30; // the deadline, not the query budget, must trip
   O.Cache = CachePolicy::disabled();
-  O.GovernorSampleSec = 0.002;
   Validator V(O);
 
   std::vector<Validator::PairTask> Tasks;
@@ -167,11 +216,17 @@ TEST(Retry, DeadlineSkipsUndispatchedPairsDistinctly) {
                      EasySrcM.get(), "easy-" + std::to_string(I)});
 
   // Serial batch with a per-call deadline: task 0 dispatches immediately,
-  // burns past the deadline and is cancelled in flight; tasks 1..3 must
-  // come back DeadlineSkipped — never Timeout.
+  // burns past the deadline and stops in flight; tasks 1..3 must come back
+  // DeadlineSkipped — never Timeout.
+  stats::Counter Tripped = stats::counter("deadline.tripped");
+  uint64_t Tripped0 = Tripped.value();
   auto Results = V.verifyBatch(Tasks, /*Jobs=*/1, /*DeadlineSec=*/0.05);
   ASSERT_EQ(Results.size(), 4u);
   EXPECT_EQ(Results[0].V.Kind, VerdictKind::Timeout);
+  EXPECT_EQ(Results[0].V.Why, Reason::DeadlineSkipped);
+  EXPECT_EQ(Results[0].V.Detail, "cancelled by batch deadline");
+  // One deadline report for the call, after its pairs finish.
+  EXPECT_EQ(Tripped.value(), Tripped0 + 1);
   for (size_t I = 1; I < Results.size(); ++I) {
     EXPECT_EQ(Results[I].V.Kind, VerdictKind::DeadlineSkipped) << I;
     EXPECT_EQ(Results[I].V.Why, Reason::DeadlineSkipped) << I;
@@ -188,13 +243,66 @@ TEST(Retry, DeadlineSkipsUndispatchedPairsDistinctly) {
   EXPECT_EQ(Clean[0].V.Kind, VerdictKind::Correct);
 }
 
+/// Threads of this process, or 0 where /proc/self/task is not readable.
+unsigned processThreads() {
+  std::error_code Err;
+  unsigned N = 0;
+  for (auto It = std::filesystem::directory_iterator("/proc/self/task", Err);
+       !Err && It != std::filesystem::directory_iterator(); It.increment(Err))
+    ++N;
+  return Err ? 0 : N;
+}
+
+// The deadline is fixed as an instant when the Validator is built and again
+// at each batch call; 0 disarms it, and it runs no thread of its own.
+TEST(Retry, DeadlineArmsRearmsAndDisarms) {
+  auto SrcM = ir::parseModuleOrDie(EasySrc);
+  auto TgtM = ir::parseModuleOrDie(EasyTgt);
+  const ir::Function &Src = *SrcM->function(0u), &Tgt = *TgtM->function(0u);
+  Options O;
+  O.Cache = CachePolicy::disabled();
+  O.DeadlineSec = 60;
+  unsigned Threads0 = processThreads();
+  Validator V(O);
+  if (Threads0) {
+    EXPECT_EQ(processThreads(), Threads0); // no sampler thread
+  }
+  EXPECT_EQ(V.verifyPair(Src, Tgt, SrcM.get()).Kind, VerdictKind::Correct);
+
+  // Re-armed by the call: already passed, so nothing dispatches, and it
+  // stays armed for the pairs verified after the call.
+  auto Skipped = V.verifyModules(*SrcM, *TgtM, /*Jobs=*/1, 1e-9);
+  ASSERT_EQ(Skipped.size(), 1u);
+  EXPECT_EQ(Skipped[0].V.Kind, VerdictKind::DeadlineSkipped);
+  EXPECT_EQ(V.verifyPair(Src, Tgt, SrcM.get()).Kind,
+            VerdictKind::DeadlineSkipped);
+
+  // 0 disarms it.
+  auto Disarmed = V.verifyModules(*SrcM, *TgtM, /*Jobs=*/1, 0);
+  ASSERT_EQ(Disarmed.size(), 1u);
+  EXPECT_EQ(Disarmed[0].V.Kind, VerdictKind::Correct);
+  EXPECT_EQ(V.verifyPair(Src, Tgt, SrcM.get()).Kind, VerdictKind::Correct);
+
+  // A negative argument re-arms Options::DeadlineSec from now.
+  auto Rearmed = V.verifyModules(*SrcM, *TgtM, /*Jobs=*/1);
+  ASSERT_EQ(Rearmed.size(), 1u);
+  EXPECT_EQ(Rearmed[0].V.Kind, VerdictKind::Correct);
+
+  // Only the memory watchdog starts a thread (a sanitizer's runtime may
+  // start one of its own beside the first).
+  if (Threads0) {
+    O.MaxRssBytes = size_t(1) << 40;
+    Validator Watched(O);
+    EXPECT_GT(processThreads(), Threads0);
+  }
+}
+
 TEST(Retry, DeadlineNeverRetriesPastExpiry) {
   auto SrcM = ir::parseModuleOrDie(EasySrc);
   auto TgtM = ir::parseModuleOrDie(EasyTgt);
   Options O = ladderOpts();
   O.Retry.MaxRungs = 8;
   O.Retry.Multiplier = 1.5; // every rung stays strangled (~1ns scale)
-  O.GovernorSampleSec = 0.002;
   Validator V(O);
   // An already-expired deadline: rung 0 must not spawn rung 1.
   auto Results = V.verifyModules(*SrcM, *TgtM, /*Jobs=*/1,
@@ -219,7 +327,6 @@ TEST(Retry, WatchdogCancelsParallelPairs) {
   O.Budget.TimeoutSec = 30;
   O.Cache = CachePolicy::disabled();
   O.MaxRssBytes = 1;
-  O.GovernorSampleSec = 0.001;
   O.Retry.MaxRungs = 2; // must NOT fire for watchdog cancellations
   Validator V(O);
 

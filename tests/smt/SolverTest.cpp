@@ -8,11 +8,14 @@
 // and resource budget verdicts.
 //===----------------------------------------------------------------------===//
 
+#include "smt/BitBlast.h"
 #include "smt/Solver.h"
 #include "support/Diag.h"
 #include "support/Profile.h"
 
 #include "gtest/gtest.h"
+
+#include <atomic>
 
 using namespace alive;
 using namespace alive::smt;
@@ -143,8 +146,9 @@ TEST(Solver, LiteralBudgetStopsBitBlasting) {
 TEST(Solver, BitBlastingStopsAtTheTimeBudget) {
   // The time budget reaches the bit-blaster too: it polls the clock every
   // 2^12 clauses, so under a spent budget a formula of more than 10^5
-  // clauses stops at the first poll, and the check answers Timeout before
-  // the SAT search starts.
+  // clauses stops at the first poll. Through the Solver it stops sooner, at
+  // add's own poll, and the check answers Timeout before the SAT search
+  // starts.
   Expr Prod = mkFreshVar("x", 64);
   for (int I = 0; I < 3; ++I)
     Prod = mkMul(Prod, mkFreshVar("y", 64));
@@ -156,6 +160,13 @@ TEST(Solver, BitBlastingStopsAtTheTimeBudget) {
   }
   SolverBudget B;
   B.TimeoutSec = 0;
+  {
+    SatSolver Sat;
+    BitBlaster Blaster(Sat, TimeLimit(B));
+    Blaster.assertTrue(F);
+    EXPECT_EQ(Blaster.stopReason(), support::Reason::Timeout);
+    EXPECT_EQ(Blaster.numClausesEmitted(), uint64_t(1) << 12);
+  }
   Solver S{TimeLimit(B)};
   S.add(F);
   EXPECT_LT(S.numClauses(), 1u << 13);
@@ -163,6 +174,28 @@ TEST(Solver, BitBlastingStopsAtTheTimeBudget) {
   SolveOutcome R = S.check();
   ASSERT_TRUE(R.isUnknown());
   EXPECT_EQ(R.UnknownReason, support::Reason::Timeout);
+  EXPECT_EQ(Check.effort().SatChecks, 0u);
+}
+
+TEST(Solver, AddPollsTheLimit) {
+  // Each add polls the limit before it blasts: once the cancel flag is up,
+  // the next assertion emits no clause and the check answers Cancelled
+  // without a SAT check.
+  std::atomic<bool> Cancel{false};
+  SolverBudget B;
+  B.Cancel = &Cancel;
+  Expr X = mkFreshVar("x", 8), Y = mkFreshVar("y", 8), Z = mkFreshVar("z", 8);
+  Solver S{TimeLimit(B)};
+  S.add(mkEq(mkAdd(X, Y), mkBV(8, 3)));
+  size_t Clauses = S.numClauses();
+  ASSERT_GT(Clauses, 0u);
+  Cancel.store(true);
+  S.add(mkEq(mkAdd(Y, Z), mkBV(8, 5)));
+  EXPECT_EQ(S.numClauses(), Clauses);
+  prof::Span Check("check");
+  SolveOutcome R = S.check();
+  ASSERT_TRUE(R.isUnknown());
+  EXPECT_EQ(R.UnknownReason, support::Reason::Cancelled);
   EXPECT_EQ(Check.effort().SatChecks, 0u);
 }
 

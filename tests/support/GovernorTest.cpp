@@ -30,40 +30,6 @@ TEST(GovernorTest, ProcessRssIsPositiveOnSupportedPlatforms) {
   EXPECT_GT(Rss, size_t(4096));
 }
 
-TEST(GovernorTest, DeadlineExpiresOnTheClock) {
-  ResourceGovernor::Config C;
-  C.SampleIntervalSec = 0.001;
-  ResourceGovernor G(C);
-  EXPECT_FALSE(G.deadlineExpired()); // unarmed
-  G.armDeadline(60);
-  EXPECT_FALSE(G.deadlineExpired());
-  G.armDeadline(1e-9);
-  sleepSec(0.002);
-  EXPECT_TRUE(G.deadlineExpired());
-  G.armDeadline(0); // disarm
-  EXPECT_FALSE(G.deadlineExpired());
-}
-
-TEST(GovernorTest, DeadlineTripCancelsInFlightJobsOnce) {
-  ResourceGovernor::Config C;
-  C.DeadlineSec = 0.02;
-  C.SampleIntervalSec = 0.002;
-  ResourceGovernor G(C);
-  auto J = G.beginJob("victim");
-  EXPECT_FALSE(J->cancelled());
-  for (int I = 0; I < 200 && !J->cancelled(); ++I)
-    sleepSec(0.005);
-  EXPECT_TRUE(J->cancelled());
-  EXPECT_EQ(J->trip(), Trip::Deadline);
-  // The trip latched: a job started after it is not retro-cancelled by the
-  // sampler (skipping it is the dispatcher's deadlineExpired() check).
-  auto Late = G.beginJob("late");
-  sleepSec(0.02);
-  EXPECT_FALSE(Late->cancelled());
-  G.endJob(Late);
-  G.endJob(J);
-}
-
 TEST(GovernorTest, WatchdogShedsLongestRunningJobFirst) {
   if (ResourceGovernor::processRssBytes() == 0)
     GTEST_SKIP() << "RSS sampling unsupported on this platform";
