@@ -73,6 +73,9 @@ std::pair<Lit, bool> BitBlaster::findOrAddGate(Lit A, Lit B, Lit C) {
     for (const Gate &E : Old)
       if (E.Out >= 0)
         gateSlot(E.In[0], E.In[1], E.In[2]) = E;
+    // A rehash is the longest stretch without a clause poll.
+    if ((Stop = Limit.poll()) != Reason::None)
+      return {falseLit(), true};
     G = &gateSlot(A, B, C);
   }
   *G = {{A, B, C}, fresh()};

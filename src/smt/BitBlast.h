@@ -55,8 +55,9 @@ public:
   /// descending.
   bool overBudget() const { return Stop != Reason::None; }
   /// Why blasting stopped: Memory past the literal budget, Timeout or
-  /// Cancelled from the time limit, polled every ClausesPerPoll clauses or
-  /// passed in by stop(); None while it runs.
+  /// Cancelled from the time limit, polled every ClausesPerPoll clauses and
+  /// after each growth of the gate table, or passed in by stop(); None
+  /// while it runs.
   Reason stopReason() const { return Stop; }
   /// Stops blasting for \p Why (a poll's answer outside the blaster), unless
   /// it has stopped already.

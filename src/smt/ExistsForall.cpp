@@ -218,8 +218,7 @@ void matchDefs(Expr U, Expr T, const BitVec &Mask, Derivation &D,
     Row = R.K == U.kind() ? &R : Row;
   if (!Row)
     return;
-  // Copy: building expressions below may reallocate the node arena.
-  std::vector<ExprId> Ops = U.node().Ops;
+  const Node::OpList &Ops = U.node().Ops;
   if (!Row->Ground) {
     for (unsigned Side = 0; Side < 2; ++Side)
       if (MaybeInverse Inv = Row->Invert(U, Side, T, Expr(), Mask))
@@ -249,8 +248,7 @@ void matchDefs(Expr U, Expr T, const BitVec &Mask, Derivation &D,
 void deriveEquationDefs(Expr Phi, const std::unordered_set<ExprId> &InnerVars,
                         std::unordered_map<ExprId, Expr> &Out,
                         bool PreferSecond) {
-  // Collect all Eq nodes once. Store ids, not Node pointers: matchDefs
-  // interns new expressions, which may reallocate the node arena.
+  // Collect all Eq nodes once.
   std::vector<ExprId> Eqs;
   walk(Phi, [&Eqs](ExprId Id, const Node &N) {
     if (N.K == Kind::Eq)

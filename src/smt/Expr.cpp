@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <memory>
 
 using namespace alive;
 using namespace alive::smt;
@@ -29,9 +30,17 @@ ExprCtx &ExprCtx::get() {
 
 void smt::resetContext() { ExprCtx::get().reset(); }
 
+ExprCtx::~ExprCtx() {
+  reset();
+  for (Node *Chunk : Chunks)
+    ::operator delete(Chunk);
+}
+
 void ExprCtx::reset() {
-  Nodes.clear();
-  Table.clear();
+  for (size_t Id = 0; Id < NumNodes; ++Id)
+    Chunks[Id >> ChunkBits][Id & (ChunkSize - 1)].~Node();
+  NumNodes = 0;
+  std::fill(Table.begin(), Table.end(), Slot{0, NoExpr});
   FreshCounter = 0;
 }
 
@@ -60,15 +69,45 @@ bool ExprCtx::sameNode(const Node &A, const Node &B) {
          (A.K != Kind::ConstBV || A.Cst == B.Cst);
 }
 
+size_t ExprCtx::slotOf(uint32_t Tag) const {
+  // Fibonacci hashing: the top bits of the product depend on every bit of
+  // the tag.
+  unsigned Bits = (unsigned)__builtin_ctzll(Table.size());
+  return (uint32_t)(Tag * 0x9e3779b9u) >> (32 - Bits);
+}
+
+void ExprCtx::growTable() {
+  std::vector<Slot> Old(Table.empty() ? FirstSlots : 2 * Table.size(),
+                        Slot{0, NoExpr});
+  Old.swap(Table);
+  size_t Mask = Table.size() - 1;
+  for (const Slot &S : Old) {
+    if (S.Id == NoExpr)
+      continue;
+    size_t I = slotOf(S.Tag);
+    while (Table[I].Id != NoExpr)
+      I = (I + 1) & Mask;
+    Table[I] = S;
+  }
+}
+
 ExprId ExprCtx::intern(Node N) {
+  if (2 * (NumNodes + 1) > Table.size())
+    growTable();
   uint64_t H = hashNode(N);
-  auto &Bucket = Table[H];
-  for (ExprId Id : Bucket)
-    if (sameNode(Nodes[Id], N))
-      return Id;
-  ExprId Id = (ExprId)Nodes.size();
-  Nodes.push_back(std::move(N));
-  Bucket.push_back(Id);
+  uint32_t Tag = (uint32_t)(H ^ (H >> 32));
+  size_t Mask = Table.size() - 1;
+  size_t I = slotOf(Tag);
+  for (; Table[I].Id != NoExpr; I = (I + 1) & Mask)
+    if (Table[I].Tag == Tag && sameNode(node(Table[I].Id), N))
+      return Table[I].Id;
+  if (NumNodes == Chunks.size() * ChunkSize)
+    Chunks.push_back(
+        static_cast<Node *>(::operator new(sizeof(Node) * ChunkSize)));
+  ExprId Id = (ExprId)NumNodes;
+  new (&Chunks[Id >> ChunkBits][Id & (ChunkSize - 1)]) Node(std::move(N));
+  ++NumNodes;
+  Table[I] = {Tag, Id};
   return Id;
 }
 
@@ -109,14 +148,15 @@ bool Expr::isAllOnesConst() const {
 // Factories
 //===----------------------------------------------------------------------===//
 
-static Expr makeNode(Kind K, unsigned Width, std::vector<ExprId> Ops,
-                     unsigned P0 = 0, unsigned P1 = 0) {
+static Expr makeNode(Kind K, unsigned Width,
+                     std::initializer_list<ExprId> Ops, unsigned P0 = 0,
+                     unsigned P1 = 0) {
   Node N;
   N.K = K;
   N.Width = Width;
   N.P0 = P0;
   N.P1 = P1;
-  N.Ops = std::move(Ops);
+  N.Ops = Ops;
   return detail::fold(std::move(N));
 }
 
@@ -417,6 +457,39 @@ size_t smt::dagSize(Expr E) {
   return N;
 }
 
+//===----------------------------------------------------------------------===//
+// Walk memos
+//===----------------------------------------------------------------------===//
+
+void detail::WalkMemo::begin(size_t NumIds, bool WithValues) {
+  if (++Epoch == 0) {
+    std::fill(Stamp.begin(), Stamp.end(), 0);
+    Epoch = 1;
+  }
+  if (Stamp.size() < NumIds)
+    Stamp.resize(NumIds, 0);
+  if (WithValues && Value.size() < NumIds)
+    Value.resize(NumIds);
+}
+
+namespace {
+/// The calling thread's memos, one per nesting depth of the walks and
+/// rewrites running on it; Depth of them are held.
+struct MemoStack {
+  std::vector<std::unique_ptr<detail::WalkMemo>> Memos;
+  size_t Depth = 0;
+};
+thread_local MemoStack Memos;
+} // namespace
+
+detail::MemoLease::MemoLease() {
+  if (Memos.Depth == Memos.Memos.size())
+    Memos.Memos.push_back(std::make_unique<WalkMemo>());
+  M = Memos.Memos[Memos.Depth++].get();
+}
+
+detail::MemoLease::~MemoLease() { --Memos.Depth; }
+
 namespace {
 /// Iterative post-order DAG rewrite behind substitute, rewriteApps and
 /// renameApps. \p Leaf(Id, Node) returns the replacement of a node it
@@ -426,35 +499,37 @@ namespace {
 /// operand first; interning order, and with it every ExprId, depends on it.
 template <typename LeafFn, typename EditFn>
 Expr rewrite(Expr Root, LeafFn Leaf, EditFn Edit) {
-  std::unordered_map<ExprId, ExprId> Cache;
-  std::vector<std::pair<ExprId, bool>> Stack{{Root.id(), false}};
+  detail::MemoLease Memo;
+  Memo->begin(ExprCtx::get().capacity(), /*WithValues=*/true);
+  auto &Stack = Memo->Stack;
+  Stack.assign(1, {Root.id(), false});
   while (!Stack.empty()) {
     auto [Id, Expanded] = Stack.back();
     Stack.pop_back();
     const Node &N = ExprCtx::get().node(Id);
     if (!Expanded) {
-      if (Cache.count(Id))
+      if (Memo->reached(Id))
         continue;
       if (ExprId To = Leaf(Id, N); To != NoExpr) {
-        Cache[Id] = To;
+        Memo->set(Id, To);
         continue;
       }
       Stack.push_back({Id, true});
       for (ExprId Op : N.Ops)
-        if (!Cache.count(Op))
+        if (!Memo->reached(Op))
           Stack.push_back({Op, false});
       continue;
     }
-    Node Copy = N; // copy: folding interns, which may reallocate N
+    Node Copy = N; // the node to edit and refold; N itself stays interned
     bool Changed = Edit(Copy);
     for (ExprId &Op : Copy.Ops) {
-      ExprId NewOp = Cache.at(Op);
+      ExprId NewOp = Memo->get(Op);
       Changed |= NewOp != Op;
       Op = NewOp;
     }
-    Cache[Id] = Changed ? detail::fold(std::move(Copy)).id() : Id;
+    Memo->set(Id, Changed ? detail::fold(std::move(Copy)).id() : Id);
   }
-  return Expr(Cache.at(Root.id()));
+  return Expr(Memo->get(Root.id()));
 }
 
 constexpr auto KeepNode = [](Node &) { return false; };

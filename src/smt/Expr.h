@@ -18,7 +18,9 @@
 #define ALIVE2RE_SMT_EXPR_H
 
 #include "support/BitVec.h"
+#include "support/SmallVec.h"
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -64,10 +66,15 @@ enum class Kind : uint8_t {
 
 /// One DAG node. Nodes are immutable and uniqued by the context.
 struct Node {
+  /// Every operator has at most three operands (Ite); only an App with more
+  /// arguments takes a heap block for them.
+  static constexpr unsigned InlineOps = 3;
+  using OpList = SmallVec<ExprId, InlineOps>;
+
   Kind K;
   unsigned Width = 0; // 0 = Bool, otherwise bit-vector width
   unsigned P0 = 0, P1 = 0;
-  std::vector<ExprId> Ops;
+  OpList Ops;
   BitVec Cst;
   std::string Name;
 };
@@ -117,27 +124,59 @@ private:
 /// resetContext() frees the calling thread's arena; only call it when that
 /// thread holds no live Expr handles (tests and the batch engine do this
 /// between verification tasks).
+///
+/// Nodes live in fixed-size chunks that never move, so a `const Node &`
+/// stays valid while more nodes are interned, until reset(). Ids are
+/// handed out in interning order, 0, 1, 2, ...
 class ExprCtx {
 public:
   static ExprCtx &get();
+  ~ExprCtx();
+  ExprCtx(const ExprCtx &) = delete;
+  ExprCtx &operator=(const ExprCtx &) = delete;
 
   /// Interns \p N (after folding) and returns its id.
   ExprId intern(Node N);
-  const Node &node(ExprId Id) const { return Nodes[Id]; }
-  size_t size() const { return Nodes.size(); }
+  const Node &node(ExprId Id) const {
+    assert(Id < NumNodes && "node id out of range");
+    return Chunks[Id >> ChunkBits][Id & (ChunkSize - 1)];
+  }
+  size_t size() const { return NumNodes; }
+  /// Ids below this have storage. The walk memos are sized to it, so they
+  /// grow only when a chunk is added.
+  size_t capacity() const { return Chunks.size() * ChunkSize; }
   void reset();
 
   /// Returns a per-context counter, used to derive fresh variable names.
   uint64_t nextFreshId() { return FreshCounter++; }
 
+  /// Nodes per chunk: 2^12 nodes of about 90 bytes, so one chunk holds the
+  /// context of a typical pair and a chunk costs under 0.4 MB.
+  static constexpr unsigned ChunkBits = 12;
+  static constexpr size_t ChunkSize = size_t(1) << ChunkBits;
+
 private:
   ExprCtx() = default;
-  std::vector<Node> Nodes;
-  std::unordered_map<uint64_t, std::vector<ExprId>> Table;
+  /// Chunks of raw storage for ChunkSize nodes each; the first NumNodes
+  /// slots hold live nodes. reset() destroys the nodes and keeps the chunks.
+  std::vector<Node *> Chunks;
+  size_t NumNodes = 0;
+  /// The intern table: open addressing with linear probing over a power of
+  /// two slots, kept at most half full. A slot holds its node's hash folded
+  /// to 32 bits, which places it and skips most unequal nodes without
+  /// reading them, and the node's id, NoExpr when empty.
+  struct Slot {
+    uint32_t Tag;
+    ExprId Id;
+  };
+  static constexpr size_t FirstSlots = 1024;
+  std::vector<Slot> Table;
   uint64_t FreshCounter = 0;
 
   static uint64_t hashNode(const Node &N);
   static bool sameNode(const Node &A, const Node &B);
+  size_t slotOf(uint32_t Tag) const;
+  void growTable();
 };
 
 /// Frees all expressions of the calling thread's context. Invalidates every
@@ -231,21 +270,72 @@ void collectApps(Expr E, std::unordered_set<ExprId> &Out);
 /// True if any variable of \p E is in \p Vars.
 bool mentionsAnyVar(Expr E, const std::unordered_set<ExprId> &Vars);
 
+namespace detail {
+/// One thread's memo for a DAG walk or rewrite: per ExprId, the epoch that
+/// last reached the node and, for a rewrite, its result. A walk starts a
+/// new epoch instead of clearing anything, so a node counts as reached only
+/// when its stamp equals the current epoch; when the 32-bit epoch wraps
+/// around, the stamps are cleared once.
+struct WalkMemo {
+  std::vector<uint32_t> Stamp;
+  std::vector<ExprId> Value;
+  std::vector<std::pair<ExprId, bool>> Stack;
+  uint32_t Epoch = 0;
+
+  /// Starts a new epoch over ids below \p NumIds (results too when
+  /// \p WithValues).
+  void begin(size_t NumIds, bool WithValues);
+  bool reached(ExprId Id) const { return Stamp[Id] == Epoch; }
+  /// Marks \p Id reached; \returns false when it already was.
+  bool reach(ExprId Id) {
+    if (Stamp[Id] == Epoch)
+      return false;
+    Stamp[Id] = Epoch;
+    return true;
+  }
+  void set(ExprId Id, ExprId To) {
+    Stamp[Id] = Epoch;
+    Value[Id] = To;
+  }
+  ExprId get(ExprId Id) const {
+    assert(reached(Id) && "rewrite result read before it was set");
+    return Value[Id];
+  }
+};
+
+/// The calling thread's first memo that no walk or rewrite holds, held
+/// until destruction. A walk or rewrite started from inside another one's
+/// callback so gets a memo of its own: nested calls are allowed.
+class MemoLease {
+public:
+  MemoLease();
+  ~MemoLease();
+  MemoLease(const MemoLease &) = delete;
+  MemoLease &operator=(const MemoLease &) = delete;
+  WalkMemo *operator->() const { return M; }
+
+private:
+  WalkMemo *M;
+};
+} // namespace detail
+
 /// Iterative depth-first DAG walk calling \p Visit(Id, Node) once per node
 /// reachable from \p Root, on first reaching it, last operand first.
-/// \p Visit must not intern: that may reallocate the node it is given.
+/// \p Visit may intern and may start walks or rewrites of its own.
 template <typename Fn> void walk(Expr Root, Fn Visit) {
-  std::unordered_set<ExprId> Seen;
-  std::vector<ExprId> Stack{Root.id()};
+  detail::MemoLease Memo;
+  Memo->begin(ExprCtx::get().capacity(), /*WithValues=*/false);
+  auto &Stack = Memo->Stack;
+  Stack.assign(1, {Root.id(), false});
   while (!Stack.empty()) {
-    ExprId Id = Stack.back();
+    ExprId Id = Stack.back().first;
     Stack.pop_back();
-    if (!Seen.insert(Id).second)
+    if (!Memo->reach(Id))
       continue;
     const Node &N = ExprCtx::get().node(Id);
     Visit(Id, N);
     for (ExprId Op : N.Ops)
-      Stack.push_back(Op);
+      Stack.push_back({Op, false});
   }
 }
 

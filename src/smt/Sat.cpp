@@ -115,11 +115,14 @@ SatSolver::CRef SatSolver::propagate() {
   while (QHead < Trail.size()) {
     Lit P = Trail[QHead++];
     ++Propagations;
-    std::vector<Watcher> &Ws = Watches[P];
+    // New watches go to other literals' lists, so Ws's storage stays put.
+    WatchList &List = Watches[P];
+    Watcher *Ws = List.data();
+    uint32_t Size = List.size();
     Lit FalseLit = negLit(P);
-    size_t I = 0, J = 0;
+    uint32_t I = 0, J = 0;
     CRef Confl = NoReason;
-    while (I < Ws.size()) {
+    while (I < Size) {
       Watcher W = Ws[I++];
       if (value(W.Blocker) == 1) {
         Ws[J++] = W;
@@ -134,7 +137,7 @@ SatSolver::CRef SatSolver::propagate() {
           Lit *Lits = clauseLits(W.ref());
           Lits[0] = W.Blocker;
           Lits[1] = FalseLit;
-          while (I < Ws.size())
+          while (I < Size)
             Ws[J++] = Ws[I++];
           Confl = W.ref();
         } else {
@@ -144,7 +147,7 @@ SatSolver::CRef SatSolver::propagate() {
       }
       CRef Ref = W.ref();
       Lit *Lits = clauseLits(Ref);
-      uint32_t Size = clauseSize(Ref);
+      uint32_t ClauseSize = clauseSize(Ref);
       // Ensure the false literal is at position 1.
       if (Lits[0] == FalseLit)
         std::swap(Lits[0], Lits[1]);
@@ -156,7 +159,7 @@ SatSolver::CRef SatSolver::propagate() {
       }
       // Look for a new literal to watch.
       bool FoundWatch = false;
-      for (uint32_t K = 2; K < Size; ++K) {
+      for (uint32_t K = 2; K < ClauseSize; ++K) {
         if (value(Lits[K]) != -1) {
           std::swap(Lits[1], Lits[K]);
           Watches[negLit(Lits[1])].push_back({W.RefBin, First});
@@ -170,14 +173,14 @@ SatSolver::CRef SatSolver::propagate() {
       Ws[J++] = {W.RefBin, First};
       if (value(First) == -1) {
         // Conflict: copy the rest of the watchers and bail out.
-        while (I < Ws.size())
+        while (I < Size)
           Ws[J++] = Ws[I++];
         Confl = Ref;
       } else {
         enqueue(First, Ref);
       }
     }
-    Ws.resize(J);
+    List.truncate(J);
     if (Confl != NoReason)
       return Confl;
   }
@@ -386,14 +389,14 @@ void SatSolver::compactArena() {
   }
   // Pass 2: relocate watchers, dropping the deleted clauses' ones, and
   // reasons, which are never deleted (reduceDB keeps locked clauses).
-  for (std::vector<Watcher> &Ws : Watches) {
-    size_t J = 0;
+  for (WatchList &Ws : Watches) {
+    uint32_t J = 0;
     for (Watcher W : Ws) {
       CRef New = Arena[W.ref()];
       if (New != NoReason)
         Ws[J++] = {New << 1 | W.binary(), W.Blocker};
     }
-    Ws.resize(J);
+    Ws.truncate(J);
   }
   for (CRef &R : Reasons)
     if (R != NoReason) {

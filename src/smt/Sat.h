@@ -21,6 +21,7 @@
 
 #include "support/Diag.h"
 #include "support/Reason.h"
+#include "support/SmallVec.h"
 
 #include <atomic>
 #include <cassert>
@@ -182,14 +183,22 @@ private:
     bool binary() const { return RefBin & 1; }
   };
 
+  /// One literal's watchers, in the order they were added. Empty is the
+  /// most common length, so a list takes the 24 bytes an empty std::vector
+  /// took; that room holds two watchers in place. 70% of lists never hold
+  /// more, and only a longer list takes a heap block (DESIGN.md "Expression
+  /// kernel storage").
+  static constexpr unsigned InlineWatchers = 2;
+  using WatchList = SmallVec<Watcher, InlineWatchers>;
+
   std::vector<uint32_t> Arena;
   size_t NumClauses = 0;
-  std::vector<std::vector<Watcher>> Watches; // indexed by Lit
-  std::vector<int8_t> Assign;                // per var: 0 unset, 1 true, -1 false
-  std::vector<int> Level;                    // per var
-  std::vector<CRef> Reasons;                 // per var
-  std::vector<bool> Phase;                   // saved phases
-  std::vector<double> Activity;              // VSIDS
+  std::vector<WatchList> Watches; // indexed by Lit
+  std::vector<int8_t> Assign;     // per var: 0 unset, 1 true, -1 false
+  std::vector<int> Level;         // per var
+  std::vector<CRef> Reasons;      // per var
+  std::vector<bool> Phase;        // saved phases
+  std::vector<double> Activity;   // VSIDS
   std::vector<Lit> Trail;
   std::vector<int> TrailLim;
   size_t QHead = 0;

@@ -42,17 +42,15 @@ Expr intern(Node N) { return Expr(ExprCtx::get().intern(std::move(N))); }
 
 /// Folds when every operand is a constant, by evaluating with BitVec.
 bool foldAllConst(const Node &N, Expr &Out) {
-  // Collect constant operand values, failing if any is symbolic.
-  std::vector<BitVec> Vals;
-  Vals.reserve(N.Ops.size());
-  for (ExprId Op : N.Ops) {
-    const Node &ON = node(Op);
-    if (ON.K == Kind::ConstBV)
-      Vals.push_back(ON.Cst);
-    else if (ON.K == Kind::ConstBool)
-      Vals.push_back(BitVec(1, ON.P0));
-    else
+  // Fail before copying anything if an operand is symbolic.
+  for (ExprId Op : N.Ops)
+    if (Kind K = node(Op).K; K != Kind::ConstBV && K != Kind::ConstBool)
       return false;
+  assert(N.Ops.size() <= Node::InlineOps && "an operator has <= 3 operands");
+  BitVec Vals[Node::InlineOps];
+  for (unsigned I = 0; I < N.Ops.size(); ++I) {
+    const Node &ON = node(N.Ops[I]);
+    Vals[I] = ON.K == Kind::ConstBV ? ON.Cst : BitVec(1, ON.P0);
   }
   auto boolOut = [&Out](bool B) {
     Out = mkBool(B);
@@ -222,14 +220,11 @@ static Expr foldRules(Node &N) {
     {
       const Node &AN = node(A);
       const Node &BN = node(B);
-      // (= (concat a b) (concat c d)) with matching widths. Copy the ids
-      // first: building the sub-equalities may reallocate the node arena.
+      // (= (concat a b) (concat c d)) with matching widths.
       if (AN.K == Kind::Concat && BN.K == Kind::Concat &&
-          node(AN.Ops[1]).Width == node(BN.Ops[1]).Width) {
-        ExprId AH = AN.Ops[0], AL = AN.Ops[1], BH = BN.Ops[0],
-               BL = BN.Ops[1];
-        return mkAnd(mkEq(Expr(AH), Expr(BH)), mkEq(Expr(AL), Expr(BL)));
-      }
+          node(AN.Ops[1]).Width == node(BN.Ops[1]).Width)
+        return mkAnd(mkEq(Expr(AN.Ops[0]), Expr(BN.Ops[0])),
+                     mkEq(Expr(AN.Ops[1]), Expr(BN.Ops[1])));
       // (= x (concat h l)) -> (= (extract x hi) h) /\ (= (extract x lo) l):
       // always-valid decomposition that lets the rules below fire on the
       // components.
@@ -247,12 +242,10 @@ static Expr foldRules(Node &N) {
       }
       // (= (bvadd x a) (bvadd x b)) -> (= a b): modular cancellation.
       if (AN.K == Kind::Add && BN.K == Kind::Add) {
-        std::vector<ExprId> AOps = AN.Ops;
-        std::vector<ExprId> BOps = BN.Ops;
         for (int I = 0; I < 2; ++I)
           for (int J = 0; J < 2; ++J)
-            if (AOps[I] == BOps[J])
-              return mkEq(Expr(AOps[1 - I]), Expr(BOps[1 - J]));
+            if (AN.Ops[I] == BN.Ops[J])
+              return mkEq(Expr(AN.Ops[1 - I]), Expr(BN.Ops[1 - J]));
       }
       // (= (bvadd x c) x) -> (= c 0).
       for (int Swap = 0; Swap < 2; ++Swap) {

@@ -37,21 +37,19 @@ bool Ackermannizer::addApps(std::span<const Expr> Roots,
     if (Vars.count(AppId))
       continue;
     const Node &N = ExprCtx::get().node(AppId);
-    std::string FnName = N.Name;
-    unsigned Width = N.Width;
-    std::vector<ExprId> OpIds = N.Ops; // copy: interning may reallocate
+    const std::string &FnName = N.Name;
     bool Inner = false;
     if (InnerPrefixes)
       for (const std::string &P : *InnerPrefixes)
         Inner |= FnName.rfind(P, 0) == 0;
     std::vector<Expr> Args;
-    for (ExprId Op : OpIds) {
+    for (ExprId Op : N.Ops) {
       Expr Arg = rewrite(Expr(Op));
       if (InnerVars)
         Inner |= mentionsAnyVar(Arg, *InnerVars);
       Args.push_back(Arg);
     }
-    Expr Var = mkFreshVar("!ack." + FnName, Width);
+    Expr Var = mkFreshVar("!ack." + FnName, N.Width);
     if (Inner)
       InnerVars->insert(Var.id());
     std::vector<App> &Earlier = ByFn[FnName];

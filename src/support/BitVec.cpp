@@ -10,68 +10,107 @@
 
 using namespace alive;
 
-static unsigned wordsForWidth(unsigned Width) { return (Width + 63) / 64; }
-
 BitVec::BitVec(unsigned W, uint64_t Val) : Width(W) {
   assert(W >= 1 && W <= MaxWidth && "unsupported bit-vector width");
-  Words.assign(wordsForWidth(W), 0);
-  Words[0] = Val;
+  if (isInline()) {
+    Word = Val;
+  } else {
+    Heap = new uint64_t[wordsFor(W)]();
+    Heap[0] = Val;
+  }
   clearUnusedBits();
 }
 
-BitVec::BitVec(unsigned W, std::vector<uint64_t> RawWords)
-    : Width(W), Words(std::move(RawWords)) {
-  assert(W >= 1 && W <= MaxWidth && "unsupported bit-vector width");
-  Words.resize(wordsForWidth(W), 0);
+BitVec::BitVec(unsigned W, std::vector<uint64_t> RawWords) : BitVec(W, 0) {
+  RawWords.resize(numWords(), 0);
+  std::copy(RawWords.begin(), RawWords.end(), words());
   clearUnusedBits();
+}
+
+BitVec::BitVec(const BitVec &O) : Width(O.Width) {
+  if (isInline()) {
+    Word = O.Word;
+  } else {
+    Heap = new uint64_t[numWords()];
+    std::copy(O.Heap, O.Heap + numWords(), Heap);
+  }
+}
+
+BitVec &BitVec::operator=(const BitVec &O) {
+  if (this == &O)
+    return *this;
+  if (numWords() != O.numWords()) {
+    BitVec Copy(O);
+    return *this = std::move(Copy);
+  }
+  Width = O.Width;
+  std::copy(O.words(), O.words() + numWords(), words());
+  return *this;
+}
+
+BitVec &BitVec::operator=(BitVec &&O) noexcept {
+  if (this == &O)
+    return *this;
+  if (!isInline())
+    delete[] Heap;
+  Width = O.Width;
+  if (O.isInline())
+    Word = O.Word;
+  else
+    Heap = O.Heap;
+  O.Width = 1;
+  O.Word = 0;
+  return *this;
+}
+
+bool BitVec::sameWords(const BitVec &B) const {
+  return std::equal(Heap, Heap + numWords(), B.Heap);
 }
 
 void BitVec::clearUnusedBits() {
   unsigned Rem = Width % 64;
   if (Rem != 0)
-    Words.back() &= (~uint64_t(0)) >> (64 - Rem);
+    words()[numWords() - 1] &= (~uint64_t(0)) >> (64 - Rem);
 }
 
 BitVec BitVec::allOnes(unsigned Width) {
   BitVec R(Width, 0);
-  for (auto &W : R.Words)
-    W = ~uint64_t(0);
+  std::fill(R.words(), R.words() + R.numWords(), ~uint64_t(0));
   R.clearUnusedBits();
   return R;
 }
 
 BitVec BitVec::signedMin(unsigned Width) {
   BitVec R(Width, 0);
-  R.Words[(Width - 1) / 64] = uint64_t(1) << ((Width - 1) % 64);
+  R.words()[(Width - 1) / 64] = uint64_t(1) << ((Width - 1) % 64);
   return R;
 }
 
 BitVec BitVec::signedMax(unsigned Width) { return signedMin(Width).bvnot(); }
 
 bool BitVec::isZero() const {
-  for (uint64_t W : Words)
-    if (W != 0)
-      return false;
-  return true;
+  const uint64_t *Ws = words();
+  return std::all_of(Ws, Ws + numWords(), [](uint64_t W) { return W == 0; });
 }
 
 bool BitVec::fitsU64() const {
-  for (unsigned I = 1; I < Words.size(); ++I)
-    if (Words[I] != 0)
-      return false;
-  return true;
+  const uint64_t *Ws = words();
+  return std::all_of(Ws + 1, Ws + numWords(),
+                     [](uint64_t W) { return W == 0; });
 }
 
 BitVec BitVec::add(const BitVec &B) const {
   assert(Width == B.Width && "width mismatch");
   BitVec R(Width, 0);
+  const uint64_t *X = words(), *Y = B.words();
+  uint64_t *Z = R.words();
   uint64_t Carry = 0;
-  for (unsigned I = 0; I < Words.size(); ++I) {
-    uint64_t S = Words[I] + Carry;
-    uint64_t C1 = S < Words[I];
-    uint64_t S2 = S + B.Words[I];
+  for (unsigned I = 0; I < numWords(); ++I) {
+    uint64_t S = X[I] + Carry;
+    uint64_t C1 = S < X[I];
+    uint64_t S2 = S + Y[I];
     uint64_t C2 = S2 < S;
-    R.Words[I] = S2;
+    Z[I] = S2;
     Carry = C1 | C2;
   }
   R.clearUnusedBits();
@@ -85,26 +124,31 @@ BitVec BitVec::neg() const { return bvnot().add(BitVec(Width, 1)); }
 BitVec BitVec::mul(const BitVec &B) const {
   assert(Width == B.Width && "width mismatch");
   BitVec R(Width, 0);
+  if (isInline()) {
+    R.Word = Word * B.Word; // modulo 2^64, like the schoolbook below
+    R.clearUnusedBits();
+    return R;
+  }
   // Schoolbook multiplication over 32-bit halves to keep carries in range.
-  unsigned NumHalves = (unsigned)Words.size() * 2;
-  auto half = [](const std::vector<uint64_t> &Ws, unsigned I) -> uint64_t {
-    uint64_t W = I / 2 < Ws.size() ? Ws[I / 2] : 0;
+  unsigned NumHalves = numWords() * 2;
+  auto half = [](const uint64_t *Ws, unsigned I) -> uint64_t {
+    uint64_t W = Ws[I / 2];
     return (I % 2) ? (W >> 32) : (W & 0xffffffffu);
   };
   std::vector<uint64_t> Acc(NumHalves, 0);
   for (unsigned I = 0; I < NumHalves; ++I) {
     uint64_t Carry = 0;
-    uint64_t AI = half(Words, I);
+    uint64_t AI = half(Heap, I);
     if (AI == 0)
       continue;
     for (unsigned J = 0; I + J < NumHalves; ++J) {
-      uint64_t Cur = Acc[I + J] + AI * half(B.Words, J) + Carry;
+      uint64_t Cur = Acc[I + J] + AI * half(B.Heap, J) + Carry;
       Acc[I + J] = Cur & 0xffffffffu;
       Carry = Cur >> 32;
     }
   }
-  for (unsigned I = 0; I < Words.size(); ++I)
-    R.Words[I] = Acc[2 * I] | (Acc[2 * I + 1] << 32);
+  for (unsigned I = 0; I < numWords(); ++I)
+    R.Heap[I] = Acc[2 * I] | (Acc[2 * I + 1] << 32);
   R.clearUnusedBits();
   return R;
 }
@@ -120,14 +164,19 @@ void BitVec::udivrem(const BitVec &A, const BitVec &B, BitVec &Quot,
     Rem = A;           // SMT-LIB bvurem x 0 = x.
     return;
   }
+  if (A.isInline()) {
+    Quot.Word = A.Word / B.Word;
+    Rem.Word = A.Word % B.Word;
+    return;
+  }
   // Bit-at-a-time restoring division; widths are small so this is fine.
   for (int I = (int)W - 1; I >= 0; --I) {
     Rem = Rem.shl(BitVec(W, 1));
     if (A.bit(I))
-      Rem.Words[0] |= 1;
+      Rem.words()[0] |= 1;
     if (!Rem.ult(B)) {
       Rem = Rem.sub(B);
-      Quot.Words[I / 64] |= uint64_t(1) << (I % 64);
+      Quot.words()[I / 64] |= uint64_t(1) << (I % 64);
     }
   }
 }
@@ -167,31 +216,39 @@ BitVec BitVec::srem(const BitVec &B) const {
 BitVec BitVec::bvand(const BitVec &B) const {
   assert(Width == B.Width && "width mismatch");
   BitVec R(Width, 0);
-  for (unsigned I = 0; I < Words.size(); ++I)
-    R.Words[I] = Words[I] & B.Words[I];
+  const uint64_t *X = words(), *Y = B.words();
+  uint64_t *Z = R.words();
+  for (unsigned I = 0; I < numWords(); ++I)
+    Z[I] = X[I] & Y[I];
   return R;
 }
 
 BitVec BitVec::bvor(const BitVec &B) const {
   assert(Width == B.Width && "width mismatch");
   BitVec R(Width, 0);
-  for (unsigned I = 0; I < Words.size(); ++I)
-    R.Words[I] = Words[I] | B.Words[I];
+  const uint64_t *X = words(), *Y = B.words();
+  uint64_t *Z = R.words();
+  for (unsigned I = 0; I < numWords(); ++I)
+    Z[I] = X[I] | Y[I];
   return R;
 }
 
 BitVec BitVec::bvxor(const BitVec &B) const {
   assert(Width == B.Width && "width mismatch");
   BitVec R(Width, 0);
-  for (unsigned I = 0; I < Words.size(); ++I)
-    R.Words[I] = Words[I] ^ B.Words[I];
+  const uint64_t *X = words(), *Y = B.words();
+  uint64_t *Z = R.words();
+  for (unsigned I = 0; I < numWords(); ++I)
+    Z[I] = X[I] ^ Y[I];
   return R;
 }
 
 BitVec BitVec::bvnot() const {
   BitVec R(Width, 0);
-  for (unsigned I = 0; I < Words.size(); ++I)
-    R.Words[I] = ~Words[I];
+  const uint64_t *X = words();
+  uint64_t *Z = R.words();
+  for (unsigned I = 0; I < numWords(); ++I)
+    Z[I] = ~X[I];
   R.clearUnusedBits();
   return R;
 }
@@ -201,14 +258,16 @@ BitVec BitVec::shl(const BitVec &B) const {
     return BitVec(Width, 0);
   unsigned Sh = (unsigned)B.low64();
   BitVec R(Width, 0);
+  const uint64_t *X = words();
+  uint64_t *Z = R.words();
   unsigned WordSh = Sh / 64, BitSh = Sh % 64;
-  for (unsigned I = Words.size(); I-- > 0;) {
+  for (unsigned I = numWords(); I-- > 0;) {
     if (I < WordSh)
       continue;
-    uint64_t V = Words[I - WordSh] << BitSh;
+    uint64_t V = X[I - WordSh] << BitSh;
     if (BitSh && I - WordSh > 0)
-      V |= Words[I - WordSh - 1] >> (64 - BitSh);
-    R.Words[I] = V;
+      V |= X[I - WordSh - 1] >> (64 - BitSh);
+    Z[I] = V;
   }
   R.clearUnusedBits();
   return R;
@@ -219,14 +278,16 @@ BitVec BitVec::lshr(const BitVec &B) const {
     return BitVec(Width, 0);
   unsigned Sh = (unsigned)B.low64();
   BitVec R(Width, 0);
-  unsigned WordSh = Sh / 64, BitSh = Sh % 64;
-  for (unsigned I = 0; I < Words.size(); ++I) {
-    if (I + WordSh >= Words.size())
+  const uint64_t *X = words();
+  uint64_t *Z = R.words();
+  unsigned NW = numWords(), WordSh = Sh / 64, BitSh = Sh % 64;
+  for (unsigned I = 0; I < NW; ++I) {
+    if (I + WordSh >= NW)
       break;
-    uint64_t V = Words[I + WordSh] >> BitSh;
-    if (BitSh && I + WordSh + 1 < Words.size())
-      V |= Words[I + WordSh + 1] << (64 - BitSh);
-    R.Words[I] = V;
+    uint64_t V = X[I + WordSh] >> BitSh;
+    if (BitSh && I + WordSh + 1 < NW)
+      V |= X[I + WordSh + 1] << (64 - BitSh);
+    Z[I] = V;
   }
   return R;
 }
@@ -248,8 +309,7 @@ BitVec BitVec::ashr(const BitVec &B) const {
 BitVec BitVec::zext(unsigned NewWidth) const {
   assert(NewWidth >= Width && "zext must not shrink");
   BitVec R(NewWidth, 0);
-  for (unsigned I = 0; I < Words.size(); ++I)
-    R.Words[I] = Words[I];
+  std::copy(words(), words() + numWords(), R.words());
   return R;
 }
 
@@ -261,15 +321,14 @@ BitVec BitVec::sext(unsigned NewWidth) const {
   // Copy the low Width bits over the all-ones background.
   for (unsigned I = 0; I < Width; ++I)
     if (!bit(I))
-      R.Words[I / 64] &= ~(uint64_t(1) << (I % 64));
+      R.words()[I / 64] &= ~(uint64_t(1) << (I % 64));
   return R;
 }
 
 BitVec BitVec::trunc(unsigned NewWidth) const {
   assert(NewWidth <= Width && "trunc must not grow");
   BitVec R(NewWidth, 0);
-  for (unsigned I = 0; I < R.Words.size(); ++I)
-    R.Words[I] = Words[I];
+  std::copy(words(), words() + R.numWords(), R.words());
   R.clearUnusedBits();
   return R;
 }
@@ -287,9 +346,10 @@ BitVec BitVec::concat(const BitVec &B) const {
 
 bool BitVec::ult(const BitVec &B) const {
   assert(Width == B.Width && "width mismatch");
-  for (unsigned I = Words.size(); I-- > 0;) {
-    if (Words[I] != B.Words[I])
-      return Words[I] < B.Words[I];
+  const uint64_t *X = words(), *Y = B.words();
+  for (unsigned I = numWords(); I-- > 0;) {
+    if (X[I] != Y[I])
+      return X[I] < Y[I];
   }
   return false;
 }
@@ -316,12 +376,22 @@ bool BitVec::ssubOverflow(const BitVec &B) const {
 }
 
 bool BitVec::umulOverflow(const BitVec &B) const {
+  if (isInline())
+    return ((unsigned __int128)Word * B.Word) >> Width != 0;
   BitVec A2 = zext(Width * 2), B2 = B.zext(Width * 2);
   BitVec P = A2.mul(B2);
   return !P.extract(Width, Width).isZero();
 }
 
 bool BitVec::smulOverflow(const BitVec &B) const {
+  if (isInline()) {
+    // Sign-extend both to 64 bits; the product fits in 128.
+    unsigned Shift = 64 - Width;
+    __int128 P = (__int128)((int64_t)(Word << Shift) >> Shift) *
+                 ((int64_t)(B.Word << Shift) >> Shift);
+    __int128 Max = ((__int128)1 << (Width - 1)) - 1;
+    return P > Max || P < -Max - 1;
+  }
   BitVec A2 = sext(Width * 2), B2 = B.sext(Width * 2);
   BitVec P = A2.mul(B2);
   BitVec Truncated = P.trunc(Width).sext(Width * 2);
@@ -344,8 +414,8 @@ unsigned BitVec::countTrailingZeros() const {
 
 unsigned BitVec::popCount() const {
   unsigned N = 0;
-  for (uint64_t W : Words)
-    N += (unsigned)__builtin_popcountll(W);
+  for (unsigned I = 0; I < numWords(); ++I)
+    N += (unsigned)__builtin_popcountll(words()[I]);
   return N;
 }
 
@@ -423,8 +493,8 @@ std::string BitVec::toHexString() const {
 
 size_t BitVec::hash() const {
   size_t H = 1469598103934665603ull ^ Width;
-  for (uint64_t W : Words) {
-    H ^= W;
+  for (unsigned I = 0; I < numWords(); ++I) {
+    H ^= words()[I];
     H *= 1099511628211ull;
   }
   return H;

@@ -29,13 +29,30 @@ namespace alive {
 ///
 /// Widths from 1 to MaxWidth bits are supported. Values are stored
 /// little-endian in 64-bit words and always kept canonical (bits above the
-/// width are zero), so equality is plain word-wise comparison.
+/// width are zero), so equality is plain word-wise comparison. A value of
+/// up to 64 bits lives in one inline word; only a wider one takes a heap
+/// block, so arithmetic at the IR's integer widths never allocates.
 class BitVec {
 public:
   static constexpr unsigned MaxWidth = 4096;
 
   /// Builds the zero value of width 1. Mostly for containers.
-  BitVec() : Width(1), Words(1, 0) {}
+  BitVec() : Width(1), Word(0) {}
+  BitVec(const BitVec &O);
+  BitVec(BitVec &&O) noexcept : Width(O.Width) {
+    if (O.isInline())
+      Word = O.Word;
+    else
+      Heap = O.Heap; // the block changes hands
+    O.Width = 1;
+    O.Word = 0;
+  }
+  BitVec &operator=(const BitVec &O);
+  BitVec &operator=(BitVec &&O) noexcept;
+  ~BitVec() {
+    if (!isInline())
+      delete[] Heap;
+  }
 
   /// Builds a value of the given width from the low bits of \p Val.
   BitVec(unsigned Width, uint64_t Val);
@@ -56,20 +73,20 @@ public:
   static BitVec signedMax(unsigned Width);
 
   unsigned width() const { return Width; }
-  unsigned numWords() const { return (unsigned)Words.size(); }
-  uint64_t word(unsigned I) const { return I < Words.size() ? Words[I] : 0; }
+  unsigned numWords() const { return wordsFor(Width); }
+  uint64_t word(unsigned I) const { return I < numWords() ? words()[I] : 0; }
 
   bool isZero() const;
   bool isOne() const { return Width >= 1 && *this == BitVec(Width, 1); }
   bool isAllOnes() const { return *this == allOnes(Width); }
   bool bit(unsigned I) const {
     assert(I < Width && "bit index out of range");
-    return (Words[I / 64] >> (I % 64)) & 1;
+    return (words()[I / 64] >> (I % 64)) & 1;
   }
   bool sign() const { return bit(Width - 1); }
 
   /// Low 64 bits of the value (zero-extended if narrower).
-  uint64_t low64() const { return Words[0]; }
+  uint64_t low64() const { return words()[0]; }
   /// \returns true if the value fits in a uint64_t.
   bool fitsU64() const;
 
@@ -109,7 +126,7 @@ public:
 
   // Comparisons.
   bool operator==(const BitVec &B) const {
-    return Width == B.Width && Words == B.Words;
+    return Width == B.Width && (isInline() ? Word == B.Word : sameWords(B));
   }
   bool operator!=(const BitVec &B) const { return !(*this == B); }
   bool ult(const BitVec &B) const;
@@ -146,8 +163,16 @@ public:
 
 private:
   unsigned Width;
-  std::vector<uint64_t> Words;
+  union {
+    uint64_t Word;  // Width <= 64
+    uint64_t *Heap; // Width > 64: wordsFor(Width) words
+  };
 
+  static unsigned wordsFor(unsigned W) { return (W + 63) / 64; }
+  bool isInline() const { return Width <= 64; }
+  uint64_t *words() { return isInline() ? &Word : Heap; }
+  const uint64_t *words() const { return isInline() ? &Word : Heap; }
+  bool sameWords(const BitVec &B) const;
   void clearUnusedBits();
   /// Unsigned divmod helper used by all the division flavors.
   static void udivrem(const BitVec &A, const BitVec &B, BitVec &Quot,

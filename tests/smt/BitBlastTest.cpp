@@ -359,4 +359,27 @@ TEST(BitBlast, MemoryBudgetReported) {
   EXPECT_EQ(R.UnknownReason, support::Reason::Memory);
 }
 
+TEST(BitBlast, GateTableGrowthPollsTheLimit) {
+  // Growing the gate table rehashes every gate and emits no clause, so the
+  // blaster polls its time limit after each growth. Under a spent limit a
+  // 64-bit multiplier, which passes 2^12 clauses, stops at the first
+  // growth (the 257th gate), not at the first clause poll.
+  Expr F = mkEq(mkMul(mkFreshVar("x", 64), mkFreshVar("y", 64)),
+                mkBV(64, 12345));
+  {
+    SatSolver Sat;
+    BitBlaster Unbounded(Sat, TimeLimit());
+    Unbounded.assertTrue(F);
+    ASSERT_GT(Unbounded.numClausesEmitted(), uint64_t(1) << 12);
+  }
+  SolverBudget B;
+  B.TimeoutSec = 0;
+  SatSolver Sat;
+  BitBlaster Blaster(Sat, TimeLimit(B));
+  Blaster.assertTrue(F);
+  EXPECT_EQ(Blaster.stopReason(), support::Reason::Timeout);
+  EXPECT_GT(Blaster.numClausesEmitted(), 256u);
+  EXPECT_LT(Blaster.numClausesEmitted(), uint64_t(1) << 12);
+}
+
 } // namespace

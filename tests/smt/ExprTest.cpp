@@ -8,9 +8,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "smt/Expr.h"
+#include "smt/Fingerprint.h"
 #include "support/Diag.h"
 
 #include "gtest/gtest.h"
+
+#include <thread>
 
 using namespace alive;
 using namespace alive::smt;
@@ -248,6 +251,188 @@ TEST_F(ExprTest, DagSizeSharesSubterms) {
   Expr Sq = mkMul(X, X);
   Expr E = mkAdd(Sq, Sq); // add folds? no: mul(x,x) + mul(x,x) stays
   EXPECT_LE(dagSize(E), 4u);
+}
+
+//===----------------------------------------------------------------------===//
+// Node storage and walk memos
+//===----------------------------------------------------------------------===//
+
+TEST_F(ExprTest, AppArityAcrossTheInlineOperandLimit) {
+  // Three operands live in the node itself; a fourth spills them all to a
+  // heap block. Interning, equality, rewriting and fingerprints must not
+  // tell the two apart.
+  for (unsigned Arity : {0u, 3u, 4u, 9u}) {
+    SCOPED_TRACE(Arity);
+    resetContext();
+    auto argsOf = [Arity](bool Reversed) {
+      std::vector<Expr> Args(Arity);
+      for (unsigned K = 0; K < Arity; ++K) {
+        unsigned I = Reversed ? Arity - 1 - K : K;
+        Args[I] = mkVar("a" + std::to_string(I), 8);
+      }
+      return Args;
+    };
+    std::vector<Expr> Args = argsOf(false);
+    Expr F = mkApp("f", 16, Args);
+    EXPECT_EQ(F, mkApp("f", 16, Args));
+    ASSERT_EQ(F.node().Ops.size(), Arity);
+    for (unsigned I = 0; I < Arity; ++I)
+      EXPECT_EQ(F.node().Ops[I], Args[I].id());
+    std::vector<Expr> Longer = Args;
+    Longer.push_back(mkVar("z", 8));
+    EXPECT_NE(F, mkApp("f", 16, Longer));
+    EXPECT_NE(F, mkApp("g", 16, Args));
+    if (Arity > 0) {
+      std::vector<Expr> Other = Args;
+      Other.back() = mkVar("z", 8);
+      EXPECT_NE(F, mkApp("f", 16, Other));
+    }
+
+    std::unordered_map<ExprId, Expr> Map;
+    std::vector<Expr> Consts;
+    for (unsigned I = 0; I < Arity; ++I) {
+      Consts.push_back(mkBV(8, I + 1));
+      Map[Args[I].id()] = Consts.back();
+    }
+    EXPECT_EQ(substitute(F, Map), mkApp("f", 16, Consts));
+    EXPECT_EQ(substitute(F, {}), F);
+    EXPECT_EQ(renameApps(F, {{"f", "h."}}), mkApp("h.", 16, Args));
+    EXPECT_EQ(renameApps(F, {{"g", "h."}}), F);
+
+    Fingerprint Fp = fingerprint(F);
+    if (Arity >= 2) {
+      std::vector<Expr> Swapped = Args;
+      std::swap(Swapped[0], Swapped[1]);
+      EXPECT_NE(fingerprint(mkApp("f", 16, Swapped)), Fp);
+    }
+    // The same app built after a reset, its arguments interned in the
+    // opposite order, fingerprints the same.
+    resetContext();
+    EXPECT_EQ(fingerprint(mkApp("f", 16, argsOf(true))), Fp);
+  }
+}
+
+TEST_F(ExprTest, NodeReferencesSurviveInterning) {
+  Expr X = mkVar("x", 8);
+  Expr E = mkAdd(X, mkBV(8, 5));
+  const Node &N = E.node();
+  // Enough new nodes to fill more than one storage chunk.
+  Expr Acc = X;
+  for (size_t I = 0; I < ExprCtx::ChunkSize; ++I)
+    Acc = mkMul(Acc, mkVar("v" + std::to_string(I), 8));
+  EXPECT_GT(ExprCtx::get().size(), 2 * ExprCtx::ChunkSize);
+  EXPECT_EQ(N.K, Kind::Add);
+  EXPECT_EQ(N.Width, 8u);
+  ASSERT_EQ(N.Ops.size(), 2u);
+  EXPECT_EQ(&N, &E.node());
+  EXPECT_EQ(E, mkAdd(X, mkBV(8, 5)));
+}
+
+/// A DAG with shared subterms: x*y occurs twice.
+static Expr sharedDag(Expr X, Expr Y) {
+  Expr Prod = mkMul(X, Y);
+  return mkAdd(Prod, mkBVAnd(Prod, mkBVXor(X, mkBV(8, 3))));
+}
+
+TEST_F(ExprTest, WalksNestInsideCallbacks) {
+  // A walk's callback may start walks and rewrites of its own, which intern
+  // new nodes; each gets its own memo, so the outer walk still visits every
+  // node once.
+  Expr X = mkVar("x", 8), Y = mkVar("y", 8), Z = mkVar("z", 8);
+  Expr E = sharedDag(X, Y);
+  std::unordered_map<ExprId, Expr> Map{{X.id(), Z}};
+  std::unordered_set<ExprId> Visited, Renamed{X.id()};
+  size_t Inner = 0;
+  walk(E, [&](ExprId Id, const Node &N) {
+    EXPECT_TRUE(Visited.insert(Id).second) << "visited twice: " << Id;
+    Inner += dagSize(Expr(Id));
+    Expr S = substitute(Expr(Id), Map);
+    EXPECT_FALSE(mentionsAnyVar(S, Renamed));
+    EXPECT_EQ(S.width(), N.Width);
+  });
+  EXPECT_EQ(Visited.size(), dagSize(E));
+  EXPECT_GT(Inner, Visited.size());
+  EXPECT_EQ(substitute(E, Map), sharedDag(Z, Y));
+}
+
+TEST_F(ExprTest, WalkMemoSurvivesEpochWrapAround) {
+  Expr X = mkVar("x", 8), Y = mkVar("y", 8), Z = mkVar("z", 8);
+  Expr E = sharedDag(X, Y);
+  size_t Size = dagSize(E);
+  std::unordered_map<ExprId, Expr> Map{{Y.id(), Z}};
+  Expr Want = sharedDag(X, Z);
+  // Moving the counter forward is always safe: no stamp is ahead of it.
+  auto toLastEpoch = [] {
+    detail::MemoLease Memo;
+    Memo->Epoch = ~uint32_t(0);
+  };
+  // From the last epoch the next walk wraps around to epoch 1, and leaves
+  // every node of E stamped 1.
+  toLastEpoch();
+  EXPECT_EQ(dagSize(E), Size);
+  // Wrap again: unless the stamps are cleared at the wrap, E's root still
+  // carries stamp 1 and the walk finds it already reached.
+  toLastEpoch();
+  EXPECT_EQ(dagSize(E), Size);
+  toLastEpoch();
+  EXPECT_EQ(substitute(E, Map), Want);
+  EXPECT_EQ(substitute(E, Map), Want);
+  EXPECT_EQ(dagSize(E), Size);
+}
+
+TEST_F(ExprTest, WalkMemoAfterResetContext) {
+  // Memos outlive the context: after a reset, ids restart at 0 and the
+  // stamps left by walks over the old nodes must not leak into new walks.
+  Expr Acc = mkVar("x", 16);
+  for (unsigned I = 0; I < 300; ++I)
+    Acc = mkAdd(mkMul(Acc, mkVar("k" + std::to_string(I), 16)), Acc);
+  EXPECT_GT(dagSize(Acc), 600u);
+  std::unordered_map<ExprId, Expr> Big{{Acc.id(), mkBV(16, 1)}};
+  EXPECT_EQ(substitute(Acc, Big), Acc);
+  resetContext();
+  Expr X = mkVar("x", 8), Y = mkVar("y", 8), Z = mkVar("z", 8);
+  Expr E = sharedDag(X, Y);
+  EXPECT_EQ(dagSize(E), 7u);
+  std::unordered_map<ExprId, Expr> Map{{X.id(), Z}};
+  EXPECT_EQ(substitute(E, Map), sharedDag(Z, Y));
+  std::unordered_set<ExprId> Vars;
+  collectVars(E, Vars);
+  EXPECT_EQ(Vars, (std::unordered_set<ExprId>{X.id(), Y.id()}));
+}
+
+TEST(ExprThreads, MemosArePerThread) {
+  // Each thread interns, walks and rewrites in its own context with its
+  // own memos, so threads running side by side get the answers each gets
+  // alone.
+  auto work = [](unsigned Seed) {
+    resetContext();
+    Expr X = mkVar("x", 16), Y = mkVar("y", 16);
+    Expr E = X;
+    for (unsigned I = 0; I < 200; ++I)
+      E = mkBVXor(mkAdd(mkMul(E, mkBV(16, 2 * (I + Seed) + 1)), Y), E);
+    size_t Nested = 0;
+    walk(E, [&Nested](ExprId Id, const Node &) {
+      Nested += dagSize(Expr(Id));
+    });
+    std::unordered_map<ExprId, Expr> Map{{X.id(), mkBV(16, Seed)},
+                                         {Y.id(), mkBV(16, 3 * Seed)}};
+    BitVec V;
+    EXPECT_TRUE(substitute(E, Map).getConst(V));
+    return std::make_pair(Nested + dagSize(E), V.low64());
+  };
+  const unsigned N = 4;
+  std::vector<std::pair<size_t, uint64_t>> Alone, Together(N);
+  for (unsigned T = 0; T < N; ++T)
+    Alone.push_back(work(T + 1));
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < N; ++T)
+    Threads.emplace_back([&, T] {
+      for (int Round = 0; Round < 3; ++Round)
+        Together[T] = work(T + 1);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Together, Alone);
 }
 
 } // namespace

@@ -170,6 +170,31 @@ TEST(Sat, SearchEffortIsPinned) {
   EXPECT_EQ(S.numDbReductions(), 1u);
 }
 
+TEST(Sat, LongWatchListKeepsItsOrder) {
+  // x implies a_1 .. a_8: the eight binary clauses put eight watchers on x,
+  // past the list's inline capacity, in this order. Asserting x visits
+  // them in list order, so a_k is the k-th literal x implies. a_K alone
+  // implies both d and !d; the root propagation then stops at that
+  // conflict, after x and a_1 .. a_K: K + 1 propagations exactly when the
+  // watchers kept their order.
+  const int N = 8;
+  for (int K = 1; K <= N; ++K) {
+    SCOPED_TRACE(K);
+    SatSolver S;
+    int X = S.newVar();
+    std::vector<int> A;
+    for (int I = 0; I < N; ++I)
+      A.push_back(S.newVar());
+    int D = S.newVar();
+    for (int I = 0; I < N; ++I)
+      ASSERT_TRUE(S.addClause(negLit(mkLit(X)), mkLit(A[I])));
+    ASSERT_TRUE(S.addClause(negLit(mkLit(A[K - 1])), mkLit(D)));
+    ASSERT_TRUE(S.addClause(negLit(mkLit(A[K - 1])), negLit(mkLit(D))));
+    EXPECT_FALSE(S.addClause(mkLit(X)));
+    EXPECT_EQ(S.numPropagations(), uint64_t(K + 1));
+  }
+}
+
 TEST(Sat, PropagationHeavySearchStopsInTime) {
   // Chains of variables, each equal to the next: a decision propagates its
   // whole chain, and the instance is satisfiable with no conflict, so the

@@ -145,8 +145,9 @@ TEST(Solver, LiteralBudgetStopsBitBlasting) {
 
 TEST(Solver, BitBlastingStopsAtTheTimeBudget) {
   // The time budget reaches the bit-blaster too: it polls the clock every
-  // 2^12 clauses, so under a spent budget a formula of more than 10^5
-  // clauses stops at the first poll. Through the Solver it stops sooner, at
+  // 2^12 clauses and after each growth of its gate table, so under a spent
+  // budget a formula of more than 10^5 clauses stops at the first growth,
+  // the 257th gate, 821 clauses in. Through the Solver it stops sooner, at
   // add's own poll, and the check answers Timeout before the SAT search
   // starts.
   Expr Prod = mkFreshVar("x", 64);
@@ -165,7 +166,7 @@ TEST(Solver, BitBlastingStopsAtTheTimeBudget) {
     BitBlaster Blaster(Sat, TimeLimit(B));
     Blaster.assertTrue(F);
     EXPECT_EQ(Blaster.stopReason(), support::Reason::Timeout);
-    EXPECT_EQ(Blaster.numClausesEmitted(), uint64_t(1) << 12);
+    EXPECT_EQ(Blaster.numClausesEmitted(), 821u);
   }
   Solver S{TimeLimit(B)};
   S.add(F);

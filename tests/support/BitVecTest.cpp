@@ -13,6 +13,9 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <vector>
+
 using namespace alive;
 
 namespace {
@@ -271,5 +274,278 @@ TEST_P(BitVecWideProperty, AlgebraicLawsHoldAtWideWidths) {
 
 INSTANTIATE_TEST_SUITE_P(WideWidths, BitVecWideProperty,
                          ::testing::Values(65u, 100u, 128u, 200u, 256u));
+
+//===----------------------------------------------------------------------===//
+// The inline/heap storage boundary
+//===----------------------------------------------------------------------===//
+
+/// A bit-at-a-time reference for every BitVec operation, sharing no code
+/// with BitVec's word loops, so values on both sides of the 64-bit inline
+/// limit are checked against the same definition.
+struct Bits {
+  std::vector<bool> B; // LSB first
+
+  explicit Bits(unsigned W) : B(W, false) {}
+  explicit Bits(const BitVec &V) : B(V.width()) {
+    for (unsigned I = 0; I < V.width(); ++I)
+      B[I] = V.bit(I);
+  }
+  unsigned width() const { return (unsigned)B.size(); }
+  BitVec toBitVec() const {
+    std::vector<uint64_t> Ws((width() + 63) / 64, 0);
+    for (unsigned I = 0; I < width(); ++I)
+      if (B[I])
+        Ws[I / 64] |= uint64_t(1) << (I % 64);
+    return BitVec(width(), Ws);
+  }
+  bool sign() const { return B.back(); }
+  bool isZero() const {
+    return std::none_of(B.begin(), B.end(), [](bool X) { return X; });
+  }
+
+  Bits add(const Bits &O) const {
+    Bits R(width());
+    bool Carry = false;
+    for (unsigned I = 0; I < width(); ++I) {
+      R.B[I] = B[I] ^ O.B[I] ^ Carry;
+      Carry = (B[I] && O.B[I]) || (Carry && (B[I] ^ O.B[I]));
+    }
+    return R;
+  }
+  Bits bnot() const {
+    Bits R(width());
+    for (unsigned I = 0; I < width(); ++I)
+      R.B[I] = !B[I];
+    return R;
+  }
+  Bits neg() const {
+    Bits One(width());
+    One.B[0] = true;
+    return bnot().add(One);
+  }
+  Bits sub(const Bits &O) const { return add(O.neg()); }
+  Bits shl(unsigned S) const {
+    Bits R(width());
+    for (unsigned I = S; I < width(); ++I)
+      R.B[I] = B[I - S];
+    return R;
+  }
+  Bits lshr(unsigned S) const {
+    Bits R(width());
+    for (unsigned I = 0; I + S < width(); ++I)
+      R.B[I] = B[I + S];
+    return R;
+  }
+  Bits ashr(unsigned S) const {
+    Bits R(width());
+    for (unsigned I = 0; I < width(); ++I)
+      R.B[I] = I + S < width() ? B[I + S] : sign();
+    return R;
+  }
+  Bits mul(const Bits &O) const {
+    Bits R(width());
+    for (unsigned I = 0; I < width(); ++I)
+      if (O.B[I])
+        R = R.add(shl(I));
+    return R;
+  }
+  bool ult(const Bits &O) const {
+    for (unsigned I = width(); I-- > 0;)
+      if (B[I] != O.B[I])
+        return O.B[I];
+    return false;
+  }
+  bool slt(const Bits &O) const {
+    return sign() != O.sign() ? sign() : ult(O);
+  }
+  void udivrem(const Bits &D, Bits &Q, Bits &Rem) const {
+    Q = Bits(width());
+    Rem = Bits(width());
+    if (D.isZero()) {
+      Q = Bits(width()).bnot();
+      Rem = *this;
+      return;
+    }
+    for (unsigned I = width(); I-- > 0;) {
+      Rem = Rem.shl(1);
+      Rem.B[0] = B[I];
+      if (!Rem.ult(D)) {
+        Rem = Rem.sub(D);
+        Q.B[I] = true;
+      }
+    }
+  }
+  Bits resize(unsigned W, bool Fill) const {
+    Bits R(W);
+    for (unsigned I = 0; I < W; ++I)
+      R.B[I] = I < width() ? B[I] : Fill;
+    return R;
+  }
+};
+
+class BitVecBoundary : public ::testing::TestWithParam<unsigned> {
+protected:
+  static BitVec random(unsigned W, Rng &R) {
+    std::vector<uint64_t> Ws;
+    for (unsigned I = 0; I < (W + 63) / 64; ++I)
+      Ws.push_back(R.next());
+    return BitVec(W, Ws);
+  }
+};
+
+TEST_P(BitVecBoundary, CopyMoveAndSelfAssignment) {
+  unsigned W = GetParam();
+  Rng R(0xb0d + W);
+  BitVec A = random(W, R);
+  BitVec Copy(A);
+  EXPECT_EQ(Copy, A);
+  EXPECT_EQ(Copy.hash(), A.hash());
+  BitVec Moved(std::move(Copy));
+  EXPECT_EQ(Moved, A);
+  // A moved-from value is a valid width-1 zero that can be assigned again.
+  EXPECT_EQ(Copy, BitVec());
+  Copy = A;
+  EXPECT_EQ(Copy, A);
+  BitVec &Alias = Copy;
+  Copy = Alias;
+  EXPECT_EQ(Copy, A);
+  Copy = std::move(Alias);
+  EXPECT_EQ(Copy, A);
+  // Assignment across the boundary, in both directions, by copy and move.
+  for (unsigned Other : {1u, 63u, 64u, 65u, 128u, 4096u}) {
+    BitVec O = random(Other, R);
+    BitVec X = A;
+    X = O;
+    EXPECT_EQ(X, O);
+    X = A;
+    EXPECT_EQ(X, A);
+    BitVec Y = O;
+    Y = std::move(X);
+    EXPECT_EQ(Y, A);
+    X = std::move(Y);
+    EXPECT_EQ(X, A);
+  }
+  // A copy is independent of its source.
+  BitVec Src = A, Dst = A;
+  Src = Src.bvnot();
+  EXPECT_EQ(Dst, A);
+}
+
+TEST_P(BitVecBoundary, EveryOperationMatchesTheBitReference) {
+  unsigned W = GetParam();
+  Rng R(0xb1750 + W);
+  int Iters = W > 1000 ? 3 : 12;
+  for (int Iter = 0; Iter < Iters; ++Iter) {
+    BitVec A = random(W, R), B = random(W, R);
+    if (Iter == 1)
+      B = BitVec::zero(W); // division by zero
+    if (Iter == 2)
+      A = BitVec::allOnes(W);
+    Bits RA(A), RB(B);
+    EXPECT_EQ(Bits(A).toBitVec(), A);
+    EXPECT_EQ(A.add(B), RA.add(RB).toBitVec());
+    EXPECT_EQ(A.sub(B), RA.sub(RB).toBitVec());
+    EXPECT_EQ(A.neg(), RA.neg().toBitVec());
+    EXPECT_EQ(A.mul(B), RA.mul(RB).toBitVec());
+    Bits Q(W), Rem(W);
+    RA.udivrem(RB, Q, Rem);
+    EXPECT_EQ(A.udiv(B), Q.toBitVec());
+    EXPECT_EQ(A.urem(B), Rem.toBitVec());
+    {
+      // SMT-LIB signed division over the magnitudes.
+      Bits MA = RA.sign() ? RA.neg() : RA, MB = RB.sign() ? RB.neg() : RB;
+      Bits SQ(W), SR(W);
+      MA.udivrem(MB, SQ, SR);
+      BitVec ExpectDiv =
+          RB.isZero() ? (RA.sign() ? BitVec(W, 1) : BitVec::allOnes(W))
+                      : (RA.sign() != RB.sign() ? SQ.neg() : SQ).toBitVec();
+      EXPECT_EQ(A.sdiv(B), ExpectDiv);
+      BitVec ExpectRem = RB.isZero()
+                             ? A
+                             : (RA.sign() ? SR.neg() : SR).toBitVec();
+      EXPECT_EQ(A.srem(B), ExpectRem);
+    }
+    Bits And(W), Or(W), Xor(W);
+    for (unsigned I = 0; I < W; ++I) {
+      And.B[I] = RA.B[I] && RB.B[I];
+      Or.B[I] = RA.B[I] || RB.B[I];
+      Xor.B[I] = RA.B[I] != RB.B[I];
+    }
+    EXPECT_EQ(A.bvand(B), And.toBitVec());
+    EXPECT_EQ(A.bvor(B), Or.toBitVec());
+    EXPECT_EQ(A.bvxor(B), Xor.toBitVec());
+    EXPECT_EQ(A.bvnot(), RA.bnot().toBitVec());
+    for (unsigned Sh : {0u, 1u, W / 2, W - 1, W, W + 5}) {
+      BitVec ShV = W >= 32 || Sh < (1u << W) ? BitVec(W, Sh) : BitVec(W, 0);
+      unsigned Amount = (unsigned)ShV.low64();
+      bool Over = !ShV.fitsU64() || Amount >= W;
+      EXPECT_EQ(A.shl(ShV), Over ? BitVec(W, 0) : RA.shl(Amount).toBitVec());
+      EXPECT_EQ(A.lshr(ShV),
+                Over ? BitVec(W, 0) : RA.lshr(Amount).toBitVec());
+      EXPECT_EQ(A.ashr(ShV), RA.ashr(Over ? W : Amount).toBitVec());
+    }
+    EXPECT_EQ(A.ult(B), RA.ult(RB));
+    EXPECT_EQ(A.slt(B), RA.slt(RB));
+    EXPECT_EQ(A.ule(B), !RB.ult(RA));
+    EXPECT_EQ(A.sge(B), !RA.slt(RB));
+    EXPECT_EQ(A == B, RA.B == RB.B);
+    EXPECT_EQ(A.uaddOverflow(B), RA.add(RB).ult(RA));
+    EXPECT_EQ(A.saddOverflow(B), RA.sign() == RB.sign() &&
+                                     RA.add(RB).sign() != RA.sign());
+    EXPECT_EQ(A.ssubOverflow(B), RA.sign() != RB.sign() &&
+                                     RA.sub(RB).sign() != RA.sign());
+    if (2 * W <= BitVec::MaxWidth) {
+      Bits P = RA.resize(2 * W, false).mul(RB.resize(2 * W, false));
+      EXPECT_EQ(A.umulOverflow(B), !P.lshr(W).isZero());
+      Bits SP = RA.resize(2 * W, RA.sign()).mul(RB.resize(2 * W, RB.sign()));
+      EXPECT_EQ(A.smulOverflow(B),
+                SP.B != SP.resize(W, false).resize(2 * W, SP.B[W - 1]).B);
+    }
+    // Width changes.
+    unsigned Wider = std::min(W + 70, BitVec::MaxWidth);
+    EXPECT_EQ(A.zext(Wider), RA.resize(Wider, false).toBitVec());
+    EXPECT_EQ(A.sext(Wider), RA.resize(Wider, RA.sign()).toBitVec());
+    unsigned Narrow = W > 1 ? W / 2 + 1 : 1;
+    EXPECT_EQ(A.trunc(Narrow), RA.resize(Narrow, false).toBitVec());
+    EXPECT_EQ(A.extract(W / 3, W - W / 3),
+              RA.lshr(W / 3).resize(W - W / 3, false).toBitVec());
+    if (2 * W <= BitVec::MaxWidth) {
+      Bits Cat(2 * W);
+      for (unsigned I = 0; I < W; ++I) {
+        Cat.B[I] = RB.B[I];
+        Cat.B[W + I] = RA.B[I];
+      }
+      EXPECT_EQ(A.concat(B), Cat.toBitVec());
+    }
+    // Predicates, counts and renderings.
+    EXPECT_EQ(A.isZero(), RA.isZero());
+    EXPECT_EQ(A.isAllOnes(), RA.B == Bits(W).bnot().B);
+    EXPECT_EQ(A.sign(), RA.sign());
+    EXPECT_EQ(A.popCount(),
+              (unsigned)std::count(RA.B.begin(), RA.B.end(), true));
+    unsigned Clz = 0, Ctz = 0;
+    while (Clz < W && !RA.B[W - 1 - Clz])
+      ++Clz;
+    while (Ctz < W && !RA.B[Ctz])
+      ++Ctz;
+    EXPECT_EQ(A.countLeadingZeros(), Clz);
+    EXPECT_EQ(A.countTrailingZeros(), Ctz);
+    EXPECT_EQ(A.fitsU64(), RA.lshr(std::min(W, 64u)).isZero());
+    EXPECT_EQ(A.low64(), A.word(0));
+    EXPECT_EQ(A.word(A.numWords()), 0u);
+    // Decimal rendering divides by ten once per digit, bit by bit past 64
+    // bits; a 200-bit magnitude keeps it quick at the widest width.
+    BitVec Dec = W > 200 ? A.lshr(BitVec(W, W - 200)) : A;
+    BitVec Parsed;
+    ASSERT_TRUE(BitVec::fromString(W, Dec.toString(), Parsed));
+    EXPECT_EQ(Parsed, Dec);
+    ASSERT_TRUE(BitVec::fromString(W, A.toHexString(), Parsed));
+    EXPECT_EQ(Parsed, A);
+    EXPECT_EQ(BitVec(A).hash(), A.hash());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(InlineAndHeapWidths, BitVecBoundary,
+                         ::testing::Values(1u, 63u, 64u, 65u, 128u, 4096u));
 
 } // namespace
