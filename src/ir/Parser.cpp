@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -20,6 +21,18 @@ using namespace alive;
 using namespace alive::ir;
 
 namespace {
+
+/// The value of enum \p E, searched from its first value to \p Last, that
+/// \p Name spells as \p Text: the printer's spelling is the one the parser
+/// accepts.
+template <typename E>
+std::optional<E> bySpelling(const std::string &Text, const char *(*Name)(E),
+                            E Last) {
+  for (unsigned I = 0; I <= unsigned(Last); ++I)
+    if (Text == Name(E(I)))
+      return E(I);
+  return std::nullopt;
+}
 
 /// Parser state for one module. Implements recursive descent with one-token
 /// lookahead; errors unwind via the Failed flag (no exceptions).
@@ -603,42 +616,10 @@ Instr *ParserImpl::parseInstruction(std::string ResultName) {
     return new FBinOp(O, Ty, std::move(ResultName), A, B, Fl);
   };
 
-  if (Op == "add")
-    return intBinOp(BinOp::Op::Add);
-  if (Op == "sub")
-    return intBinOp(BinOp::Op::Sub);
-  if (Op == "mul")
-    return intBinOp(BinOp::Op::Mul);
-  if (Op == "udiv")
-    return intBinOp(BinOp::Op::UDiv);
-  if (Op == "sdiv")
-    return intBinOp(BinOp::Op::SDiv);
-  if (Op == "urem")
-    return intBinOp(BinOp::Op::URem);
-  if (Op == "srem")
-    return intBinOp(BinOp::Op::SRem);
-  if (Op == "shl")
-    return intBinOp(BinOp::Op::Shl);
-  if (Op == "lshr")
-    return intBinOp(BinOp::Op::LShr);
-  if (Op == "ashr")
-    return intBinOp(BinOp::Op::AShr);
-  if (Op == "and")
-    return intBinOp(BinOp::Op::And);
-  if (Op == "or")
-    return intBinOp(BinOp::Op::Or);
-  if (Op == "xor")
-    return intBinOp(BinOp::Op::Xor);
-  if (Op == "fadd")
-    return fpBinOp(FBinOp::Op::FAdd);
-  if (Op == "fsub")
-    return fpBinOp(FBinOp::Op::FSub);
-  if (Op == "fmul")
-    return fpBinOp(FBinOp::Op::FMul);
-  if (Op == "fdiv")
-    return fpBinOp(FBinOp::Op::FDiv);
-  if (Op == "frem")
-    return fpBinOp(FBinOp::Op::FRem);
+  if (auto O = bySpelling(Op, BinOp::opName, BinOp::Op::Xor))
+    return intBinOp(*O);
+  if (auto O = bySpelling(Op, FBinOp::opName, FBinOp::Op::FRem))
+    return fpBinOp(*O);
 
   if (Op == "fneg") {
     const Type *Ty = parseType();
@@ -670,31 +651,13 @@ Instr *ParserImpl::parseInstruction(std::string ResultName) {
                                               Ty->numElements())
                             : Type::getBool();
     if (Op == "icmp") {
-      static const std::pair<const char *, ICmp::Pred> Preds[] = {
-          {"eq", ICmp::Pred::EQ},   {"ne", ICmp::Pred::NE},
-          {"ugt", ICmp::Pred::UGT}, {"uge", ICmp::Pred::UGE},
-          {"ult", ICmp::Pred::ULT}, {"ule", ICmp::Pred::ULE},
-          {"sgt", ICmp::Pred::SGT}, {"sge", ICmp::Pred::SGE},
-          {"slt", ICmp::Pred::SLT}, {"sle", ICmp::Pred::SLE},
-      };
-      for (auto &[Name, P] : Preds)
-        if (PredTok.Text == Name)
-          return new ICmp(P, std::move(ResultName), A, B, ResTy);
+      if (auto P = bySpelling(PredTok.Text, ICmp::predName, ICmp::Pred::SLE))
+        return new ICmp(*P, std::move(ResultName), A, B, ResTy);
       error(PredTok, "unknown icmp predicate");
       return nullptr;
     }
-    static const std::pair<const char *, FCmp::Pred> FPreds[] = {
-        {"oeq", FCmp::Pred::OEQ}, {"ogt", FCmp::Pred::OGT},
-        {"oge", FCmp::Pred::OGE}, {"olt", FCmp::Pred::OLT},
-        {"ole", FCmp::Pred::OLE}, {"one", FCmp::Pred::ONE},
-        {"ord", FCmp::Pred::ORD}, {"ueq", FCmp::Pred::UEQ},
-        {"ugt", FCmp::Pred::UGT}, {"uge", FCmp::Pred::UGE},
-        {"ult", FCmp::Pred::ULT}, {"ule", FCmp::Pred::ULE},
-        {"une", FCmp::Pred::UNE}, {"uno", FCmp::Pred::UNO},
-    };
-    for (auto &[Name, P] : FPreds)
-      if (PredTok.Text == Name)
-        return new FCmp(P, std::move(ResultName), A, B, ResTy);
+    if (auto P = bySpelling(PredTok.Text, FCmp::predName, FCmp::Pred::UNO))
+      return new FCmp(*P, std::move(ResultName), A, B, ResTy);
     error(PredTok, "unknown fcmp predicate");
     return nullptr;
   }
@@ -733,27 +696,17 @@ Instr *ParserImpl::parseInstruction(std::string ResultName) {
     return new Freeze(Ty, std::move(ResultName), A);
   }
 
-  {
-    static const std::pair<const char *, Cast::Op> Casts[] = {
-        {"trunc", Cast::Op::Trunc},     {"zext", Cast::Op::ZExt},
-        {"sext", Cast::Op::SExt},       {"bitcast", Cast::Op::BitCast},
-        {"fptosi", Cast::Op::FPToSI},   {"fptoui", Cast::Op::FPToUI},
-        {"sitofp", Cast::Op::SIToFP},   {"uitofp", Cast::Op::UIToFP},
-    };
-    for (auto &[Name, CO] : Casts) {
-      if (Op != Name)
-        continue;
-      const Type *SrcTy = parseType();
-      if (!SrcTy)
-        return nullptr;
-      Value *A = parseOperand(SrcTy);
-      if (!A || !expectWord("to"))
-        return nullptr;
-      const Type *DstTy = parseType();
-      if (!DstTy)
-        return nullptr;
-      return new Cast(CO, DstTy, std::move(ResultName), A);
-    }
+  if (auto CO = bySpelling(Op, Cast::opName, Cast::Op::UIToFP)) {
+    const Type *SrcTy = parseType();
+    if (!SrcTy)
+      return nullptr;
+    Value *A = parseOperand(SrcTy);
+    if (!A || !expectWord("to"))
+      return nullptr;
+    const Type *DstTy = parseType();
+    if (!DstTy)
+      return nullptr;
+    return new Cast(*CO, DstTy, std::move(ResultName), A);
   }
 
   if (Op == "phi") {

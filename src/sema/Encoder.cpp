@@ -163,11 +163,6 @@ private:
     return freshNondet(What, Width,
                        Out.Paths.intern(ReadPaths::None, S, ReaderKey));
   }
-  Expr sharedInput(const std::string &Name, unsigned Width) {
-    Expr V = mkVar(Name, Width);
-    Out.InputVars.insert(V.id());
-    return V;
-  }
   void addUB(Expr DomE, Expr Cond) {
     if (Opts.IgnoreUB)
       return;
@@ -175,11 +170,10 @@ private:
     UbConds.inc();
     Out.UB = mkOr(Out.UB, mkAnd(DomE, Cond));
   }
-  void markApprox(const std::string &FnName, const std::string &Note) {
+  void markApprox(const std::string &FnName) {
     ALIVE_STAT_COUNTER(Approx, "encode.approx_marks");
     Approx.inc();
     Out.ApproxFnNames.insert(FnName);
-    Out.ApproxNotes.push_back(Note);
   }
 
   /// Section 3.6/3.7: once UB-on-undef has been recorded for this operand
@@ -327,14 +321,14 @@ Encoder::Template Encoder::encodeArgument(const Argument *A, unsigned Index) {
     unsigned W = laneWidth(L, LT);
     std::string Base = "in." + std::to_string(Index) + "." +
                        std::to_string(Lane);
-    Expr Val = sharedInput(Base, W);
+    Expr Val = mkVar(Base, W);
     if (Opts.IgnoreUB) {
       // Baseline mode: plain shared value, no deferred UB.
       T.V.Elems.push_back(StateValue::defined(Val));
       continue;
     }
-    Expr IsPoison = sharedInput(Base + ".poison", 0);
-    Expr IsUndef = sharedInput(Base + ".undef", 0);
+    Expr IsPoison = mkVar(Base + ".poison", 0);
+    Expr IsUndef = mkVar(Base + ".undef", 0);
     std::string Root = "%" + A->name();
     if (numLanes(Ty) > 1)
       Root += "[" + std::to_string(Lane) + "]";
@@ -481,7 +475,7 @@ StateValue Encoder::encodeFBinOpLane(const FBinOp &B, const StateValue &A,
   auto ufName = [&](const char *Op) { return std::string(Op) + "." + Suffix; };
   auto uf = [&](const char *Op) {
     Expr R = mkApp(ufName(Op), W, {Av, BvV});
-    markApprox(ufName(Op), std::string("fp rounding of ") + Op);
+    markApprox(ufName(Op));
     return R;
   };
   Expr AnyNaN = mkOr(FS.isNaN(Av), FS.isNaN(BvV));
@@ -839,8 +833,8 @@ Encoder::Template Encoder::encodeCall(const Call &C, Expr DomE) {
       Expr Val = mkApp(VName, W, UFArgs);
       Expr NP = mkEq(mkApp(PName, 1, UFArgs), mkBV(1, 1));
       if (Unsupported) {
-        markApprox(VName, "unsupported intrinsic " + Callee);
-        markApprox(PName, "unsupported intrinsic " + Callee);
+        markApprox(VName);
+        markApprox(PName);
       }
       if (LT->isPtr()) {
         // Returned pointers reference non-local memory.
@@ -858,7 +852,7 @@ Encoder::Template Encoder::encodeCall(const Call &C, Expr DomE) {
   // source/target calls havoc memory identically.
   std::string MemName = "callmem." + Callee;
   if (Unsupported)
-    markApprox(MemName, "memory effect of unsupported intrinsic " + Callee);
+    markApprox(MemName);
   std::vector<Expr> MemArgs = UFArgs;
   unsigned ByteW = L.byteBits();
   Mem->appendHavoc(DomE, [MemName, MemArgs, ByteW](Expr Addr) {
@@ -1075,7 +1069,7 @@ Encoder::Template Encoder::encodeInstr(const Instr &I, Expr DomE) {
         std::string Name = std::string(Cast::opName(C.getOp())) + "." +
                            std::to_string(SV.Val.width()) + "." +
                            std::to_string(DW);
-        markApprox(Name, "fp<->int conversion " + Name);
+        markApprox(Name);
         T.V.Elems.push_back(
             {mkApp(Name, DW, {SV.Val}), SV.NonPoison, SV.IsUndef});
       }
@@ -1361,8 +1355,6 @@ void Encoder::encodeBlock(const BasicBlock *BB, const analysis::Cfg &G) {
 
 FunctionEncoding Encoder::run() {
   Out.Mem = Mem = std::make_shared<Memory>(L, Opts.Tag);
-  for (Expr V : L.inputVars())
-    Out.InputVars.insert(V.id());
 
   // This side's local block sizes are its own symbols (pinned by alloca
   // axioms); register them as this side's nondeterminism so the refinement

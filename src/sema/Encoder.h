@@ -108,9 +108,6 @@ struct CallRecord {
 
 /// The result of encoding a function.
 struct FunctionEncoding {
-  bool Valid = true;
-  std::string UnsupportedReason;
-
   /// Precondition over the inputs (argument attributes, pointer-argument
   /// block validity). Sink-domain negation is added by the refinement layer.
   smt::Expr Pre = smt::mkTrue();
@@ -136,12 +133,9 @@ struct FunctionEncoding {
   /// NondetOrder[I]'s read path, an id in Paths.
   std::vector<unsigned> NondetPaths;
   ReadPaths Paths;
-  /// Shared input variables (arguments etc).
-  std::unordered_set<smt::ExprId> InputVars;
   /// Uninterpreted-function names whose presence in a counterexample means
   /// the result is an over-approximation (Section 3.8), not a proven bug.
   std::unordered_set<std::string> ApproxFnNames;
-  std::vector<std::string> ApproxNotes;
 };
 
 /// Encodes \p F. The function must be loop-free (run the unroller first);

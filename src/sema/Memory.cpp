@@ -60,7 +60,6 @@ MemoryLayout MemoryLayout::compute(const Function &Src, const Function &Tgt,
     ++Anon;
   for (unsigned I = 0; I < Anon; ++I) {
     Expr Size = mkVar("blocksize." + std::to_string(Bid), 64);
-    L.Inputs.push_back(Size);
     L.Blocks.push_back(
         {Block::Kind::Anon, Bid, "anon" + std::to_string(I), 0, Size, false});
     ++Bid;

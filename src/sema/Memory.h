@@ -81,15 +81,11 @@ public:
   /// Valid non-local block for argument pointers: null or a Global/Anon bid.
   smt::Expr isNonLocalOrNull(smt::Expr Bid) const;
 
-  /// Shared symbolic inputs created by the layout (anon block sizes).
-  const std::vector<smt::Expr> &inputVars() const { return Inputs; }
-
 private:
   std::vector<Block> Blocks;
   unsigned BidBits = 1;
   unsigned FirstLocal = 1;
   unsigned LocalSlots = 0;
-  std::vector<smt::Expr> Inputs;
 };
 
 /// Byte pack/unpack helpers (see the file comment for the layout).

@@ -7,6 +7,7 @@
 #include "smt/BitBlast.h"
 
 #include "support/Profile.h"
+#include "support/Stats.h"
 
 #include <cassert>
 
@@ -17,6 +18,18 @@ BitBlaster::BitBlaster(SatSolver &Solver, const TimeLimit &Limit)
     : S(Solver), Limit(Limit) {
   TrueLit = mkLit(S.newVar());
   S.addClause(TrueLit);
+}
+
+BitBlaster::~BitBlaster() {
+  // Once per blaster, so the CNF-building hot path stays free of atomics.
+  ALIVE_STAT_COUNTER(ClauseCount, "bitblast.clauses");
+  ALIVE_STAT_COUNTER(VarCount, "bitblast.vars");
+  ALIVE_STAT_COUNTER(CacheHitCount, "bitblast.cache_hits");
+  ALIVE_STAT_COUNTER(GateHitCount, "bitblast.gate_hits");
+  ClauseCount.inc(ClausesEmitted);
+  VarCount.inc(FreshVars);
+  CacheHitCount.inc(CacheHits);
+  GateHitCount.inc(GateHits);
 }
 
 Lit BitBlaster::fresh() {
@@ -344,11 +357,10 @@ Lit BitBlaster::blastBool(Expr E) {
   case Kind::ConstBool:
     R = N.P0 ? TrueLit : falseLit();
     break;
-  case Kind::Var: {
+  case Kind::Var:
     R = fresh();
-    VarBits[E.id()] = {R};
+    Vars.push_back(E.id());
     break;
-  }
   case Kind::Not:
     R = negLit(blastBool(Expr(N.Ops[0])));
     break;
@@ -423,7 +435,7 @@ const std::vector<Lit> &BitBlaster::blastBV(Expr E) {
     R.resize(N.Width);
     for (unsigned I = 0; I < N.Width; ++I)
       R[I] = fresh();
-    VarBits[E.id()] = R;
+    Vars.push_back(E.id());
     break;
   }
   case Kind::Ite:
@@ -515,19 +527,19 @@ const std::vector<Lit> &BitBlaster::blastBV(Expr E) {
 }
 
 BitVec BitBlaster::readVar(Expr Var) const {
-  unsigned W = Var.isBool() ? 1 : Var.width();
-  auto It = VarBits.find(Var.id());
-  if (It == VarBits.end())
-    return BitVec(W, 0);
-  BitVec R(W, 0);
-  BitVec One(W, 1);
-  for (unsigned I = 0; I < W; ++I) {
-    Lit L = It->second[I];
-    bool V = S.modelValue(litVar(L));
-    if (litSign(L))
-      V = !V;
-    if (V)
-      R = R.bvor(One.shl(BitVec(W, I)));
+  auto value = [this](Lit L) { return S.modelValue(litVar(L)) != litSign(L); };
+  if (Var.isBool()) {
+    auto It = BoolCache.find(Var.id());
+    return BitVec(1, It != BoolCache.end() && value(It->second));
   }
+  unsigned W = Var.width();
+  BitVec R(W, 0);
+  auto It = BVCache.find(Var.id());
+  if (It == BVCache.end())
+    return R;
+  BitVec One(W, 1);
+  for (unsigned I = 0; I < W; ++I)
+    if (value(It->second[I]))
+      R = R.bvor(One.shl(BitVec(W, I)));
   return R;
 }

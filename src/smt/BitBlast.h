@@ -28,14 +28,21 @@
 
 namespace alive::smt {
 
-/// Translates expressions to CNF and tracks variable bit mappings for model
-/// extraction.
+/// Translates expressions to CNF. It is also its solver's table of
+/// variables: the literals of every variable it blasted, and their order,
+/// from which the solver reads a model.
 class BitBlaster {
 public:
   /// Blasts into \p Solver within \p Limit: past its budget's MaxLiterals
   /// emitted literals, or once its poll answers Timeout or Cancelled, it
   /// stops.
   BitBlaster(SatSolver &Solver, const TimeLimit &Limit);
+  /// Adds its CNF counts to the `bitblast.*` counters of the stats
+  /// registry.
+  ~BitBlaster();
+
+  BitBlaster(const BitBlaster &) = delete;
+  BitBlaster &operator=(const BitBlaster &) = delete;
 
   /// Asserts that the Bool expression \p E holds.
   void assertTrue(Expr E);
@@ -45,6 +52,9 @@ public:
 
   /// \returns literals for each bit of the bit-vector \p E, LSB first.
   const std::vector<Lit> &blastBV(Expr E);
+
+  /// The variables blasted so far, in blasting order.
+  const std::vector<ExprId> &vars() const { return Vars; }
 
   /// Reads back the value of a previously-blasted variable from the SAT
   /// model; also answers for variables never blasted (defaulting to zero).
@@ -66,18 +76,15 @@ public:
       Stop = Why;
   }
 
-  /// CNF-size telemetry (cumulative since construction; the Solver facade
-  /// flushes deltas into the stats registry per check).
-  uint64_t numCacheHits() const { return CacheHits; }
+  /// CNF-size telemetry, cumulative since construction.
   uint64_t numGateHits() const { return GateHits; }
-  uint64_t numFreshVars() const { return FreshVars; }
   uint64_t numClausesEmitted() const { return ClausesEmitted; }
 
 private:
   SatSolver &S;
   std::unordered_map<ExprId, Lit> BoolCache;
   std::unordered_map<ExprId, std::vector<Lit>> BVCache;
-  std::unordered_map<ExprId, std::vector<Lit>> VarBits;
+  std::vector<ExprId> Vars;
   Lit TrueLit;
   Reason Stop = Reason::None;
   TimeLimit Limit;

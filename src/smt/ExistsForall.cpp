@@ -18,17 +18,13 @@ using namespace alive::smt;
 
 namespace {
 
-/// Derives definitional instantiations for inner variables from equations
-/// in Phi: a subterm (= U t) with t inner-free suggests solving U = t for
-/// U's inner variables. This plays the role of Z3's pattern-based
-/// instantiation that Alive2 depends on for its undef encoding (Section
-/// 3.3/3.7). The descent through U's operators follows one invertibility
-/// table; a definition may constrain only some bits of its variable (the
-/// byte packing of Section 4 produces extracts and concats).
-struct PartialDef {
-  BitVec Mask; // bits of the variable this definition constrains
-  Expr Value;  // the constrained bits (other bits zero)
-};
+// Derives definitional instantiations for inner variables from equations
+// in Phi: a subterm (= U t) with t inner-free suggests solving U = t for
+// U's inner variables. This plays the role of Z3's pattern-based
+// instantiation that Alive2 depends on for its undef encoding (Section
+// 3.3/3.7). The descent through U's operators follows one invertibility
+// table; a definition may constrain only some bits of its variable (the
+// byte packing of Section 4 produces extracts and concats).
 
 /// What one descent step solves: the operand, the term it must equal, and
 /// the bits of it that term constrains.
@@ -150,20 +146,22 @@ const InvRow InvTable[] = {
      }},
 };
 
-/// The state of one derivation: the definitions found so far.
+/// The state of one derivation: the definitions found so far, as the map
+/// substitute() takes, and the bits of each variable they constrain (a
+/// definition's other bits are zero).
 struct Derivation {
   const std::unordered_set<ExprId> &InnerVars;
-  std::unordered_map<ExprId, PartialDef> Defs;
+  std::unordered_map<ExprId, Expr> Defs;
+  std::unordered_map<ExprId, BitVec> Masks;
   /// Which operand of a ground row to solve first on a tie.
   unsigned PreferSecond;
 
   /// Inner variables of \p E without a definition yet.
   unsigned unresolved(ExprId E) const {
-    std::unordered_set<ExprId> Vars;
-    collectVars(Expr(E), Vars);
     unsigned N = 0;
-    for (ExprId V : Vars)
-      N += InnerVars.count(V) && !Defs.count(V);
+    walk(Expr(E), [&](ExprId Id, const Node &Nd) {
+      N += Nd.K == Kind::Var && InnerVars.count(Id) && !Defs.count(Id);
+    });
     return N;
   }
 
@@ -171,10 +169,7 @@ struct Derivation {
   /// variables to zero (recording those pins as definitions so the final
   /// instantiation is consistent). Returns the inner-free result.
   Expr ground(Expr E) {
-    std::unordered_map<ExprId, Expr> Flat;
-    for (const auto &[Id, P] : Defs)
-      Flat[Id] = P.Value;
-    Expr R = substitute(E, Flat);
+    Expr R = substitute(E, Defs);
     std::unordered_set<ExprId> Vars;
     collectVars(R, Vars);
     std::unordered_map<ExprId, Expr> Zeros;
@@ -185,14 +180,15 @@ struct Derivation {
       unsigned W = Var.isBool() ? 1 : Var.width();
       Expr Zero = Var.isBool() ? mkFalse() : mkBV(Var.width(), 0);
       Zeros[V] = Zero;
-      Defs[V] = {BitVec::allOnes(W), Zero};
+      Defs[V] = Zero;
+      Masks[V] = BitVec::allOnes(W);
     }
     return Zeros.empty() ? R : substitute(R, Zeros);
   }
 };
 
 /// Solves (= U T) on the bits \p Mask for U's inner variables, descending
-/// through InvTable, and records what it finds in \p D.Defs.
+/// through InvTable, and records what it finds in \p D.
 void matchDefs(Expr U, Expr T, const BitVec &Mask, Derivation &D,
                unsigned Depth) {
   if (Depth == 0)
@@ -200,17 +196,19 @@ void matchDefs(Expr U, Expr T, const BitVec &Mask, Derivation &D,
   if (U.kind() == Kind::Var) {
     if (!D.InnerVars.count(U.id()) || U.isBool() || U.width() != T.width())
       return;
-    auto It = D.Defs.find(U.id());
-    if (It == D.Defs.end()) {
-      D.Defs[U.id()] = {Mask, mkBVAnd(T, mkBV(Mask))};
+    auto It = D.Masks.find(U.id());
+    if (It == D.Masks.end()) {
+      D.Masks[U.id()] = Mask;
+      D.Defs[U.id()] = mkBVAnd(T, mkBV(Mask));
       return;
     }
     // Merge bit ranges that are not yet constrained.
-    BitVec Fresh = Mask.bvand(It->second.Mask.bvnot());
+    BitVec Fresh = Mask.bvand(It->second.bvnot());
     if (Fresh.isZero())
       return;
-    It->second.Mask = It->second.Mask.bvor(Fresh);
-    It->second.Value = mkBVOr(It->second.Value, mkBVAnd(T, mkBV(Fresh)));
+    It->second = It->second.bvor(Fresh);
+    Expr &Value = D.Defs[U.id()];
+    Value = mkBVOr(Value, mkBVAnd(T, mkBV(Fresh)));
     return;
   }
   const InvRow *Row = nullptr;
@@ -234,27 +232,30 @@ void matchDefs(Expr U, Expr T, const BitVec &Mask, Derivation &D,
   for (unsigned Side : {First, 1 - First}) {
     if (D.unresolved(Ops[Side]) == 0)
       continue;
-    std::unordered_map<ExprId, PartialDef> Before = D.Defs;
+    auto Defs = D.Defs;
+    auto Masks = D.Masks;
     Expr S = D.ground(Expr(Ops[1 - Side]));
     unsigned Open = D.unresolved(Ops[Side]);
     if (MaybeInverse Inv = Row->Invert(U, Side, T, S, Mask))
       matchDefs(Expr(Ops[Side]), Inv->X, Inv->Mask, D, Depth - 1);
     if (D.unresolved(Ops[Side]) < Open)
       return;
-    D.Defs = std::move(Before);
+    D.Defs = std::move(Defs);
+    D.Masks = std::move(Masks);
   }
 }
 
-void deriveEquationDefs(Expr Phi, const std::unordered_set<ExprId> &InnerVars,
-                        std::unordered_map<ExprId, Expr> &Out,
-                        bool PreferSecond) {
+/// Definitions of \p Phi's inner variables, derived from its equations.
+std::unordered_map<ExprId, Expr>
+deriveEquationDefs(Expr Phi, const std::unordered_set<ExprId> &InnerVars,
+                   bool PreferSecond) {
   // Collect all Eq nodes once.
   std::vector<ExprId> Eqs;
   walk(Phi, [&Eqs](ExprId Id, const Node &N) {
     if (N.K == Kind::Eq)
       Eqs.push_back(Id);
   });
-  Derivation D{InnerVars, {}, PreferSecond};
+  Derivation D{InnerVars, {}, {}, PreferSecond};
   for (int Round = 0; Round < 4; ++Round) {
     size_t Before = D.Defs.size();
     for (ExprId EqId : Eqs) {
@@ -265,10 +266,7 @@ void deriveEquationDefs(Expr Phi, const std::unordered_set<ExprId> &InnerVars,
         Expr T(TId);
         if (U.isBool())
           continue;
-        std::unordered_map<ExprId, Expr> Flat;
-        for (const auto &[Id, P] : D.Defs)
-          Flat[Id] = P.Value;
-        Expr TSub = substitute(T, Flat);
+        Expr TSub = substitute(T, D.Defs);
         if (mentionsAnyVar(TSub, InnerVars))
           continue;
         matchDefs(U, TSub, BitVec::allOnes(U.width()), D, 12);
@@ -277,8 +275,7 @@ void deriveEquationDefs(Expr Phi, const std::unordered_set<ExprId> &InnerVars,
     if (D.Defs.size() == Before)
       break;
   }
-  for (const auto &[Id, P] : D.Defs)
-    Out[Id] = P.Value;
+  return std::move(D.Defs);
 }
 
 /// True if any avoided application survives in the query's support after
@@ -368,8 +365,8 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
   if (Query.DeriveEquationDefs) {
     prof::Span DeriveSpan("ef_derive");
     for (bool PreferSecond : {false, true}) {
-      std::unordered_map<ExprId, Expr> Defs;
-      deriveEquationDefs(Phi, InnerVars, Defs, PreferSecond);
+      std::unordered_map<ExprId, Expr> Defs =
+          deriveEquationDefs(Phi, InnerVars, PreferSecond);
       if (!Defs.empty())
         EqDefVariants.push_back(std::move(Defs));
     }

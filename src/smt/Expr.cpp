@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <memory>
 
 using namespace alive;
@@ -586,21 +585,6 @@ BitVec Model::get(Expr Var) const {
   return BitVec(W, 0);
 }
 
-std::string Model::toString() const {
-  std::map<std::string, std::string> Sorted;
-  for (const auto &[Id, V] : Map) {
-    const Node &N = ExprCtx::get().node(Id);
-    std::string Rendered =
-        N.Width == 0 ? (V.isZero() ? "false" : "true")
-                     : (V.toString() + " (" + V.toHexString() + ")");
-    Sorted[N.Name] = Rendered;
-  }
-  std::string Out;
-  for (const auto &[Name, V] : Sorted)
-    Out += Name + " = " + V + "\n";
-  return Out;
-}
-
 BitVec smt::evaluate(Expr E, const Model &M) {
   std::unordered_map<ExprId, BitVec> Cache;
   // Post-order evaluation.
@@ -618,95 +602,18 @@ BitVec smt::evaluate(Expr E, const Model &M) {
           Stack.push_back({Op, false});
       continue;
     }
-    auto op = [&Cache, &N](unsigned I) -> const BitVec & {
-      return Cache.at(N.Ops[I]);
-    };
-    auto boolToBV = [](bool B) { return BitVec(1, B ? 1 : 0); };
     BitVec R;
-    switch (N.K) {
-    case Kind::ConstBool:
-      R = boolToBV(N.P0 != 0);
-      break;
-    case Kind::ConstBV:
-      R = N.Cst;
-      break;
-    case Kind::Var:
+    if (N.K == Kind::Var) {
       R = M.get(Expr(Id));
-      break;
-    case Kind::App:
+    } else if (N.K == Kind::App) {
       // Apps are replaced by variables before solving; evaluating one here
       // means the model never constrained it, so any value is fine.
       R = BitVec(N.Width, 0);
-      break;
-    case Kind::Not:
-      R = boolToBV(op(0).isZero());
-      break;
-    case Kind::And:
-      R = boolToBV(!op(0).isZero() && !op(1).isZero());
-      break;
-    case Kind::Or:
-      R = boolToBV(!op(0).isZero() || !op(1).isZero());
-      break;
-    case Kind::Xor:
-      R = boolToBV(op(0).isZero() != op(1).isZero());
-      break;
-    case Kind::Ite:
-      R = !op(0).isZero() ? op(1) : op(2);
-      break;
-    case Kind::Eq:
-      R = boolToBV(op(0) == op(1));
-      break;
-    case Kind::Ult:
-      R = boolToBV(op(0).ult(op(1)));
-      break;
-    case Kind::Slt:
-      R = boolToBV(op(0).slt(op(1)));
-      break;
-    case Kind::Add:
-      R = op(0).add(op(1));
-      break;
-    case Kind::Mul:
-      R = op(0).mul(op(1));
-      break;
-    case Kind::UDiv:
-      R = op(0).udiv(op(1));
-      break;
-    case Kind::URem:
-      R = op(0).urem(op(1));
-      break;
-    case Kind::SDiv:
-      R = op(0).sdiv(op(1));
-      break;
-    case Kind::SRem:
-      R = op(0).srem(op(1));
-      break;
-    case Kind::BAnd:
-      R = op(0).bvand(op(1));
-      break;
-    case Kind::BOr:
-      R = op(0).bvor(op(1));
-      break;
-    case Kind::BXor:
-      R = op(0).bvxor(op(1));
-      break;
-    case Kind::BNot:
-      R = op(0).bvnot();
-      break;
-    case Kind::Shl:
-      R = op(0).shl(op(1));
-      break;
-    case Kind::LShr:
-      R = op(0).lshr(op(1));
-      break;
-    case Kind::AShr:
-      R = op(0).ashr(op(1));
-      break;
-    case Kind::Concat:
-      R = op(0).concat(op(1));
-      break;
-    case Kind::Extract:
-      R = op(0).extract(N.P0, N.P1);
-      break;
+    } else {
+      BitVec Ops[Node::InlineOps];
+      for (unsigned I = 0; I < N.Ops.size(); ++I)
+        Ops[I] = Cache.at(N.Ops[I]);
+      R = detail::evalNode(N, Ops);
     }
     Cache[Id] = std::move(R);
   }

@@ -374,8 +374,6 @@ public:
   BitVec get(Expr Var) const;
   bool getBool(Expr Var) const { return !get(Var).isZero(); }
   const std::unordered_map<ExprId, BitVec> &entries() const { return Map; }
-  /// Renders "name = value" lines sorted by name.
-  std::string toString() const;
 
 private:
   std::unordered_map<ExprId, BitVec> Map;

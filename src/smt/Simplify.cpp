@@ -40,80 +40,90 @@ bool getBoolConst(ExprId Id, bool &Out) {
 
 Expr intern(Node N) { return Expr(ExprCtx::get().intern(std::move(N))); }
 
-/// Folds when every operand is a constant, by evaluating with BitVec.
+/// Folds when every operand is a constant, by evaluating with evalNode.
 bool foldAllConst(const Node &N, Expr &Out) {
   // Fail before copying anything if an operand is symbolic.
   for (ExprId Op : N.Ops)
     if (Kind K = node(Op).K; K != Kind::ConstBV && K != Kind::ConstBool)
       return false;
+  // An all-constant ite is the node of the operand it selects.
+  if (N.K == Kind::Ite) {
+    Out = Expr(node(N.Ops[0]).P0 ? N.Ops[1] : N.Ops[2]);
+    return true;
+  }
   assert(N.Ops.size() <= Node::InlineOps && "an operator has <= 3 operands");
   BitVec Vals[Node::InlineOps];
   for (unsigned I = 0; I < N.Ops.size(); ++I) {
     const Node &ON = node(N.Ops[I]);
     Vals[I] = ON.K == Kind::ConstBV ? ON.Cst : BitVec(1, ON.P0);
   }
-  auto boolOut = [&Out](bool B) {
-    Out = mkBool(B);
-    return true;
-  };
-  auto bvOut = [&Out](const BitVec &V) {
-    Out = mkBV(V);
-    return true;
-  };
-  switch (N.K) {
-  case Kind::Not:
-    return boolOut(Vals[0].isZero());
-  case Kind::And:
-    return boolOut(!Vals[0].isZero() && !Vals[1].isZero());
-  case Kind::Or:
-    return boolOut(!Vals[0].isZero() || !Vals[1].isZero());
-  case Kind::Xor:
-    return boolOut(Vals[0].isZero() != Vals[1].isZero());
-  case Kind::Eq:
-    return boolOut(Vals[0] == Vals[1]);
-  case Kind::Ult:
-    return boolOut(Vals[0].ult(Vals[1]));
-  case Kind::Slt:
-    return boolOut(Vals[0].slt(Vals[1]));
-  case Kind::Add:
-    return bvOut(Vals[0].add(Vals[1]));
-  case Kind::Mul:
-    return bvOut(Vals[0].mul(Vals[1]));
-  case Kind::UDiv:
-    return bvOut(Vals[0].udiv(Vals[1]));
-  case Kind::URem:
-    return bvOut(Vals[0].urem(Vals[1]));
-  case Kind::SDiv:
-    return bvOut(Vals[0].sdiv(Vals[1]));
-  case Kind::SRem:
-    return bvOut(Vals[0].srem(Vals[1]));
-  case Kind::BAnd:
-    return bvOut(Vals[0].bvand(Vals[1]));
-  case Kind::BOr:
-    return bvOut(Vals[0].bvor(Vals[1]));
-  case Kind::BXor:
-    return bvOut(Vals[0].bvxor(Vals[1]));
-  case Kind::BNot:
-    return bvOut(Vals[0].bvnot());
-  case Kind::Shl:
-    return bvOut(Vals[0].shl(Vals[1]));
-  case Kind::LShr:
-    return bvOut(Vals[0].lshr(Vals[1]));
-  case Kind::AShr:
-    return bvOut(Vals[0].ashr(Vals[1]));
-  case Kind::Concat:
-    return bvOut(Vals[0].concat(Vals[1]));
-  case Kind::Extract:
-    return bvOut(Vals[0].extract(N.P0, N.P1));
-  case Kind::Ite:
-    Out = Expr(!Vals[0].isZero() ? N.Ops[1] : N.Ops[2]);
-    return true;
-  default:
-    return false;
-  }
+  BitVec V = detail::evalNode(N, Vals);
+  Out = N.Width == 0 ? mkBool(!V.isZero()) : mkBV(V);
+  return true;
 }
 
 } // namespace
+
+BitVec smt::detail::evalNode(const Node &N, const BitVec *Ops) {
+  auto boolVal = [](bool B) { return BitVec(1, B); };
+  switch (N.K) {
+  case Kind::ConstBool:
+    return boolVal(N.P0 != 0);
+  case Kind::ConstBV:
+    return N.Cst;
+  case Kind::Var:
+  case Kind::App:
+    break;
+  case Kind::Not:
+    return boolVal(Ops[0].isZero());
+  case Kind::And:
+    return boolVal(!Ops[0].isZero() && !Ops[1].isZero());
+  case Kind::Or:
+    return boolVal(!Ops[0].isZero() || !Ops[1].isZero());
+  case Kind::Xor:
+    return boolVal(Ops[0].isZero() != Ops[1].isZero());
+  case Kind::Ite:
+    return !Ops[0].isZero() ? Ops[1] : Ops[2];
+  case Kind::Eq:
+    return boolVal(Ops[0] == Ops[1]);
+  case Kind::Ult:
+    return boolVal(Ops[0].ult(Ops[1]));
+  case Kind::Slt:
+    return boolVal(Ops[0].slt(Ops[1]));
+  case Kind::Add:
+    return Ops[0].add(Ops[1]);
+  case Kind::Mul:
+    return Ops[0].mul(Ops[1]);
+  case Kind::UDiv:
+    return Ops[0].udiv(Ops[1]);
+  case Kind::URem:
+    return Ops[0].urem(Ops[1]);
+  case Kind::SDiv:
+    return Ops[0].sdiv(Ops[1]);
+  case Kind::SRem:
+    return Ops[0].srem(Ops[1]);
+  case Kind::BAnd:
+    return Ops[0].bvand(Ops[1]);
+  case Kind::BOr:
+    return Ops[0].bvor(Ops[1]);
+  case Kind::BXor:
+    return Ops[0].bvxor(Ops[1]);
+  case Kind::BNot:
+    return Ops[0].bvnot();
+  case Kind::Shl:
+    return Ops[0].shl(Ops[1]);
+  case Kind::LShr:
+    return Ops[0].lshr(Ops[1]);
+  case Kind::AShr:
+    return Ops[0].ashr(Ops[1]);
+  case Kind::Concat:
+    return Ops[0].concat(Ops[1]);
+  case Kind::Extract:
+    return Ops[0].extract(N.P0, N.P1);
+  }
+  assert(false && "a variable or application has no value of its own");
+  return BitVec(N.Width ? N.Width : 1, 0);
+}
 
 /// Applies the rewrite rules to \p N. \returns the rewritten expression,
 /// or an invalid Expr when no rule fired (the caller interns N as-is; the

@@ -23,6 +23,12 @@ namespace alive::smt::detail {
 /// Applies local rewrite rules to \p N and interns the result.
 Expr fold(Node N);
 
+/// The one statement of each operator's concrete meaning: the value of
+/// \p N given the values \p Ops of its operands, Bools as 1-bit values.
+/// Constants evaluate to themselves; \p N must not be a variable or an
+/// application. The constant fold and smt::evaluate both run it.
+BitVec evalNode(const Node &N, const BitVec *Ops);
+
 /// True for kinds whose binary operands fold() may reorder (it sorts them by
 /// ExprId for hash-consing). Fingerprinting must treat these operand pairs
 /// as unordered: ExprId order depends on interning history, not meaning.

@@ -74,8 +74,8 @@ void Solver::add(Expr E) {
   if (TriviallyUnsat)
     return;
   assert(E.isBool() && "assertions must be Bool");
-  // One poll per assertion: Ackermannization, the walks below and blasting
-  // up to the blaster's first clause poll read no clock.
+  // One poll per assertion: Ackermannization and blasting up to the
+  // blaster's first clause poll read no clock.
   if (Reason Why = Limit.poll(); Why != Reason::None) {
     Blaster->stop(Why);
     return;
@@ -92,38 +92,15 @@ void Solver::add(Expr E) {
     TriviallyUnsat = true;
     return;
   }
-  collectVars(E, SeenVars);
   Blaster->assertTrue(E);
-}
-
-/// Flushes bit-blaster telemetry accumulated since the last check into the
-/// global registry (delta-based so the CNF-building hot path stays free of
-/// atomics).
-void Solver::flushBlastStats() {
-  struct Handles {
-    stats::Counter Clauses = stats::counter("bitblast.clauses");
-    stats::Counter Vars = stats::counter("bitblast.vars");
-    stats::Counter Hits = stats::counter("bitblast.cache_hits");
-    stats::Counter GateHits = stats::counter("bitblast.gate_hits");
-  };
-  static Handles H;
-  H.Clauses.inc(Blaster->numClausesEmitted() - SeenBlastClauses);
-  H.Vars.inc(Blaster->numFreshVars() - SeenBlastVars);
-  H.Hits.inc(Blaster->numCacheHits() - SeenBlastHits);
-  H.GateHits.inc(Blaster->numGateHits() - SeenGateHits);
-  SeenBlastClauses = Blaster->numClausesEmitted();
-  SeenBlastVars = Blaster->numFreshVars();
-  SeenBlastHits = Blaster->numCacheHits();
-  SeenGateHits = Blaster->numGateHits();
 }
 
 SolveOutcome Solver::check() {
   // Child spans cover the CDCL core (sat_solve) and model extraction
-  // (model); this span's self time is telemetry flushing.
+  // (model); this span's self time is the check's own bookkeeping.
   prof::Span ProfSpan("sat_check");
   ALIVE_STAT_COUNTER(Checks, "solver.checks");
   Checks.inc();
-  flushBlastStats();
 
   SolveOutcome Out;
   if (TriviallyUnsat) {
@@ -141,7 +118,7 @@ SolveOutcome Solver::check() {
     case SatStatus::Sat: {
       Out.Res = SatResult::Sat;
       prof::Span ModelSpan("model");
-      for (ExprId VarId : SeenVars)
+      for (ExprId VarId : Blaster->vars())
         Out.M.set(VarId, Blaster->readVar(Expr(VarId)));
       break;
     }

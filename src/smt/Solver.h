@@ -115,18 +115,14 @@ public:
 private:
   TimeLimit Limit;
   std::unique_ptr<SatSolver> Sat;
+  /// Also the table of this solver's variables: a model assigns every
+  /// variable it blasted, those that only the congruence axioms mention
+  /// included.
   std::unique_ptr<BitBlaster> Blaster;
   bool TriviallyUnsat = false;
-  /// Bit-blaster telemetry already flushed to the stats registry.
-  uint64_t SeenBlastClauses = 0, SeenBlastVars = 0, SeenBlastHits = 0,
-           SeenGateHits = 0;
-
-  void flushBlastStats();
 
   /// Applications of every assertion so far.
   Ackermannizer Ack;
-  /// All variables ever asserted (for model extraction).
-  std::unordered_set<ExprId> SeenVars;
 };
 
 /// One-shot convenience: check a single formula.

@@ -14,6 +14,10 @@
 
 #include "gtest/gtest.h"
 
+#include <iterator>
+#include <memory>
+#include <vector>
+
 using namespace alive;
 using namespace alive::ir;
 
@@ -135,6 +139,61 @@ done:
   auto M2 = parseModule(printModule(*M), Err);
   ASSERT_TRUE(M2) << Err.str() << printModule(*M);
   EXPECT_EQ(printModule(*M2), printModule(*M));
+}
+
+TEST(Parser, EveryOpcodeSpellingPrintsAndParsesBack) {
+  // One instruction per value of each opcode and predicate enum, built
+  // with its constructor, printed, and parsed back as the same value.
+  const char *Head = "define void @f(i32 %a, i8 %n, float %x) {\nentry:\n";
+  Diag Err;
+  auto ArgM = parseModule(std::string(Head) + "  ret void\n}\n", Err);
+  ASSERT_TRUE(ArgM) << Err.str();
+  const Function &ArgF = *ArgM->function(0);
+  Argument *A = ArgF.arg(0), *N = ArgF.arg(1), *X = ArgF.arg(2);
+  const Type *I32 = A->type(), *F32 = X->type(), *I1 = Type::getBool();
+
+  // Each instruction with the value it carries.
+  std::vector<std::pair<std::unique_ptr<Instr>, unsigned>> Made;
+  for (unsigned I = 0; I <= unsigned(BinOp::Op::Xor); ++I)
+    Made.emplace_back(new BinOp(BinOp::Op(I), I32, "r", A, A), I);
+  for (unsigned I = 0; I <= unsigned(FBinOp::Op::FRem); ++I)
+    Made.emplace_back(new FBinOp(FBinOp::Op(I), F32, "r", X, X), I);
+  for (unsigned I = 0; I <= unsigned(ICmp::Pred::SLE); ++I)
+    Made.emplace_back(new ICmp(ICmp::Pred(I), "r", A, A, I1), I);
+  for (unsigned I = 0; I <= unsigned(FCmp::Pred::UNO); ++I)
+    Made.emplace_back(new FCmp(FCmp::Pred(I), "r", X, X, I1), I);
+  // Each cast's operand and result type, in the order of Cast::Op: trunc,
+  // zext, sext, bitcast, fptosi, fptoui, sitofp, uitofp.
+  const std::pair<Argument *, const Type *> CastSig[] = {
+      {A, N->type()}, {N, I32}, {N, I32}, {X, I32},
+      {X, I32},       {X, I32}, {A, F32}, {A, F32}};
+  static_assert(std::size(CastSig) == unsigned(Cast::Op::UIToFP) + 1);
+  for (unsigned I = 0; I < std::size(CastSig); ++I)
+    Made.emplace_back(
+        new Cast(Cast::Op(I), CastSig[I].second, "r", CastSig[I].first), I);
+
+  auto valueOf = [](const Instr &I) -> unsigned {
+    if (auto *B = dyn_cast<BinOp>(&I))
+      return unsigned(B->getOp());
+    if (auto *B = dyn_cast<FBinOp>(&I))
+      return unsigned(B->getOp());
+    if (auto *C = dyn_cast<ICmp>(&I))
+      return unsigned(C->pred());
+    if (auto *C = dyn_cast<FCmp>(&I))
+      return unsigned(C->pred());
+    return unsigned(cast<Cast>(&I)->getOp());
+  };
+  for (const auto &[I, Value] : Made) {
+    std::string Line = printInstr(*I);
+    SCOPED_TRACE(Line);
+    auto M = parseModule(std::string(Head) + "  " + Line + "\n  ret void\n}\n",
+                         Err);
+    ASSERT_TRUE(M) << Err.str();
+    const Instr &Parsed = *M->function(0)->block(0)->instr(0);
+    EXPECT_EQ(Parsed.kind(), I->kind());
+    EXPECT_EQ(valueOf(Parsed), Value);
+    EXPECT_EQ(printInstr(Parsed), Line);
+  }
 }
 
 TEST(Parser, VectorAndAggregateInstructions) {

@@ -11,12 +11,15 @@
 #include "refine/Refinement.h"
 #include "refine/Validator.h"
 #include "ir/Parser.h"
+#include "support/Stats.h"
 #include "support/Trace.h"
 
 #include "gtest/gtest.h"
 
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -699,6 +702,53 @@ exit:
        {"target's return value is more specific (lane 0)", Unsat, 1, 1, 98,
         128, 2834, 653},
        {"target's memory is more specific", Unsat, 0, 1, 0, 0, 0, 0}});
+}
+
+TEST(Refine, FixturePairRegistryCountersArePinned) {
+  // Every nonzero registry counter that encoding, solving and refinement
+  // feed for the alive-tv fixture pair src_ok/tgt_bad, verified at -j 1
+  // without the cache. The bit-blaster adds its counts once, when it is
+  // destroyed: these totals pin that feed as well as the search.
+  auto read = [](const char *Name) {
+    std::ifstream In(std::string(ALIVE2RE_SOURCE_DIR) + "/tests/inputs/" +
+                     Name);
+    std::stringstream Text;
+    Text << In.rdbuf();
+    return Text.str();
+  };
+  auto SrcM = ir::parseModuleOrDie(read("src_ok.ll"));
+  auto TgtM = ir::parseModuleOrDie(read("tgt_bad.ll"));
+  stats::Registry::get().reset();
+  Options O;
+  O.Cache = CachePolicy::disabled();
+  O.Budget.TimeoutSec = 30;
+  std::vector<PairResult> R = Validator(O).verifyModules(*SrcM, *TgtM, 1);
+  ASSERT_EQ(R.size(), 1u);
+  EXPECT_INCORRECT(R[0].V);
+
+  // Counters not listed must read zero.
+  const std::map<std::string, uint64_t> Want = {
+      {"bitblast.cache_hits", 51}, {"bitblast.clauses", 2547},
+      {"bitblast.vars", 808},      {"ef.iterations", 4},
+      {"ef.queries", 4},           {"ef.seeds_accepted", 18},
+      {"encode.functions", 3},     {"encode.instructions", 7},
+      {"refine.pairs", 1},         {"refine.queries", 5},
+      {"sat.conflicts", 18},       {"sat.decisions", 175},
+      {"sat.learned_clauses", 18}, {"sat.propagations", 2480},
+      {"sat.solves", 3},           {"simplify.rewrites", 51},
+      {"solver.checks", 5},
+  };
+  std::map<std::string, uint64_t> Got;
+  for (const auto &[Name, N] : stats::Registry::get().snapshot().Counters) {
+    std::string Layer = Name.substr(0, Name.find('.'));
+    bool Pinned = Layer == "sat" || Layer == "bitblast" ||
+                  Layer == "solver" || Layer == "ef" || Layer == "refine" ||
+                  Layer == "encode" || Layer == "memory" ||
+                  Name == "simplify.rewrites";
+    if (Pinned && N)
+      Got[Name] = N;
+  }
+  EXPECT_EQ(Got, Want);
 }
 
 TEST(Refine, PreconditionFalseRecordsStepOne) {

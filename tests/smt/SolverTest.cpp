@@ -96,6 +96,21 @@ TEST(Solver, AckermannCrossAssertionConsistency) {
   EXPECT_TRUE(S2.check().isUnsat()) << "congruence across assertions";
 }
 
+TEST(Solver, ModelAssignsVariablesOnlyAxiomsMention) {
+  // x and y occur only as f's arguments, so after Ackermannization only
+  // the congruence axiom x = y -> f(x) = f(y) mentions them. A model must
+  // still assign them, and the axiom rules out x = y.
+  Expr X = mkFreshVar("x", 8), Y = mkFreshVar("y", 8);
+  Solver S;
+  S.add(mkEq(mkApp("f", 8, {X}), mkBV(8, 1)));
+  S.add(mkEq(mkApp("f", 8, {Y}), mkBV(8, 2)));
+  SolveOutcome R = S.check();
+  ASSERT_TRUE(R.isSat());
+  EXPECT_TRUE(R.M.has(X.id()));
+  EXPECT_TRUE(R.M.has(Y.id()));
+  EXPECT_NE(R.M.get(X).low64(), R.M.get(Y).low64());
+}
+
 TEST(Solver, NestedApps) {
   // h(h(x)) with x == c must equal h(h(c)).
   Expr X = mkFreshVar("x", 4);
