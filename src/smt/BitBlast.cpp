@@ -38,7 +38,7 @@ Lit BitBlaster::fresh() {
 }
 
 void BitBlaster::clause(std::initializer_list<Lit> Lits) {
-  if (Stop != Reason::None)
+  if (halted())
     return;
   ++ClausesEmitted;
   EmittedLiterals += Lits.size();
@@ -71,7 +71,7 @@ BitBlaster::Gate &BitBlaster::gateSlot(Lit A, Lit B, Lit C) {
 }
 
 std::pair<Lit, bool> BitBlaster::findOrAddGate(Lit A, Lit B, Lit C) {
-  if (Stop != Reason::None)
+  if (halted())
     return {falseLit(), true}; // a placeholder: emit nothing more
   if (Gates.empty())
     Gates.resize(FirstGateSlots);
@@ -349,7 +349,7 @@ Lit BitBlaster::blastBool(Expr E) {
     ++CacheHits;
     return It->second;
   }
-  if (Stop != Reason::None)
+  if (halted())
     return falseLit();
   const Node &N = E.node();
   Lit R;
@@ -418,7 +418,7 @@ const std::vector<Lit> &BitBlaster::blastBV(Expr E) {
     return It->second;
   }
   const Node &N = E.node();
-  if (Stop != Reason::None)
+  if (halted())
     return BVCache[E.id()] = std::vector<Lit>(N.Width, falseLit());
   std::vector<Lit> R;
   auto bv = [this](ExprId Id) -> const std::vector<Lit> & {

@@ -35,7 +35,8 @@ class BitBlaster {
 public:
   /// Blasts into \p Solver within \p Limit: past its budget's MaxLiterals
   /// emitted literals, or once its poll answers Timeout or Cancelled, it
-  /// stops.
+  /// stops. It also stops once \p Solver is refuted at the root
+  /// (SatSolver::okay()), when no clause can change the answer.
   BitBlaster(SatSolver &Solver, const TimeLimit &Limit);
   /// Adds its CNF counts to the `bitblast.*` counters of the stats
   /// registry.
@@ -110,6 +111,10 @@ private:
   size_t NumGates = 0;
 
   Lit falseLit() const { return negLit(TrueLit); }
+  /// True once blasting emits nothing more: a budget ran out, or the solver
+  /// is refuted at the root, so no further clause can change its answer.
+  /// blastBool/blastBV then return placeholders without descending.
+  bool halted() const { return Stop != Reason::None || !S.okay(); }
   Lit fresh();
   void clause(std::initializer_list<Lit> Lits);
   /// The slot of gate (\p A, \p B, \p C): its entry, or the empty slot

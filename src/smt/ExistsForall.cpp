@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string_view>
 
 using namespace alive;
 using namespace alive::smt;
@@ -324,10 +325,14 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
   ALIVE_STAT_COUNTER(Queries, "ef.queries");
   Queries.inc();
 
+  // The stage whose formula refuted the outer side as it was built; empty
+  // while none has.
+  std::string_view RefutedBy;
   // Emits the query's summary on every exit path.
   struct TraceEmitter {
     EFOutcome &Out;
     const prof::Span &Span;
+    const std::string_view &RefutedBy;
     ~TraceEmitter() {
       if (!trace::enabled())
         return;
@@ -336,13 +341,10 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
           .num("iterations", Out.Iterations)
           .num("seconds", Span.seconds())
           .effort(Span.effort())
-          .flag("approx_involved", Out.ApproxInvolved);
+          .flag("approx_involved", Out.ApproxInvolved)
+          .str("refuted_by", RefutedBy);
     }
-  } Emitter{Out, ProfSpan};
-
-  std::vector<Expr> Outer = Query.Outer;
-  Expr Phi = Query.Inner;
-  std::unordered_set<ExprId> InnerVars = Query.InnerVars;
+  } Emitter{Out, ProfSpan, RefutedBy};
 
   // Polls the time limit; a stop leaves Out Unknown with the poll's
   // reason.
@@ -358,92 +360,123 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
   if (stopped())
     return Out;
 
-  // Equation-derived definitions of inner variables (e-matching analog),
-  // in two variants: preferring to solve the first or the second argument
-  // of invertible nodes (covering symmetric undef cases).
-  std::vector<std::unordered_map<ExprId, Expr>> EqDefVariants;
-  if (Query.DeriveEquationDefs) {
-    prof::Span DeriveSpan("ef_derive");
-    for (bool PreferSecond : {false, true}) {
-      std::unordered_map<ExprId, Expr> Defs =
-          deriveEquationDefs(Phi, InnerVars, PreferSecond);
-      if (!Defs.empty())
-        EqDefVariants.push_back(std::move(Defs));
+  // Refute before building: the outer side goes into the solver one formula
+  // at a time, stage by stage, and the first formula that leaves the solver
+  // refuted ends the build, since no later one can make the query Sat. Each
+  // formula's applications are Ackermannized as it arrives, with the one
+  // Ackermannizer. Its outer axioms wait until after the last seed; an
+  // axiom involving an inner application may depend on the inner choice,
+  // so it joins Phi.
+  std::unordered_set<ExprId> InnerVars = Query.InnerVars;
+  Ackermannizer Ack(&InnerVars, &Query.InnerAppPrefixes);
+  std::vector<Expr> OuterAxioms, InnerAxioms;
+  auto onAxiom = [&](Expr Axiom, bool Inner) {
+    (Inner ? InnerAxioms : OuterAxioms).push_back(Axiom);
+  };
+  // Phase A's solver when there are avoided applications, else Phase B's.
+  std::optional<Solver> Search(std::in_place, Limit);
+  std::vector<Expr> Outer; // what the build asserted, in order
+  // Asserts \p E, applications rewritten; true once the solver is refuted.
+  auto assertOuter = [&](Expr E) {
+    Outer.push_back(E);
+    Search->add(E);
+    return Search->refuted();
+  };
+  auto ackermannize = [&](Expr E) {
+    return Ack.addApps({&E, 1}, onAxiom) ? Ack.rewrite(E) : E;
+  };
+  // A symbolic instantiation of the universal (see EFQuery::Seeds): asserts
+  // not-Phi[S] unless S is partial, which would be unsound, i.e. leaves an
+  // inner variable or an inner application behind.
+  auto assertSeed = [&](const EFQuery::Seed &S) {
+    Expr Inst = renameApps(substitute(Query.Inner, S.VarMap), S.AppRenames);
+    bool InnerLeft = mentionsAnyVar(Inst, Query.InnerVars);
+    if (!InnerLeft) {
+      std::unordered_set<ExprId> Apps;
+      collectApps(Inst, Apps);
+      for (ExprId A : Apps)
+        for (const std::string &P : Query.InnerAppPrefixes)
+          InnerLeft |= ExprCtx::get().node(A).Name.rfind(P, 0) == 0;
     }
-  }
-
-  {
+    if (InnerLeft) {
+      ALIVE_STAT_COUNTER(SeedsSkipped, "ef.seeds_skipped");
+      SeedsSkipped.inc();
+      return false;
+    }
+    ALIVE_STAT_COUNTER(SeedsAccepted, "ef.seeds_accepted");
+    SeedsAccepted.inc();
+    return assertOuter(ackermannize(mkNot(Inst)));
+  };
+  // The stages in order; \returns the one whose formula refuted the build,
+  // or "" when every seed went in.
+  RefutedBy = [&]() -> std::string_view {
+    for (Expr E : Query.Outer)
+      if (assertOuter(ackermannize(E)))
+        return "outer";
     prof::Span SeedSpan("ef_seeds");
-    // Symbolic instantiations of the universal (see EFQuery::Seeds): each
-    // given seed as-is, plus each equation-defs variant layered over it.
-    std::vector<EFQuery::Seed> AllSeeds = Query.Seeds;
+    for (const EFQuery::Seed &S : Query.Seeds)
+      if (assertSeed(S))
+        return "seed";
+    if (!Query.DeriveEquationDefs)
+      return "";
+    // Equation-derived definitions of inner variables (e-matching analog),
+    // in two variants: preferring to solve the first or the second argument
+    // of invertible nodes (covering symmetric undef cases). Each variant is
+    // a seed of its own when there are none, else layered over each seed.
+    std::vector<std::unordered_map<ExprId, Expr>> EqDefVariants;
+    {
+      prof::Span DeriveSpan("ef_derive");
+      for (bool PreferSecond : {false, true}) {
+        std::unordered_map<ExprId, Expr> Defs =
+            deriveEquationDefs(Query.Inner, Query.InnerVars, PreferSecond);
+        if (!Defs.empty())
+          EqDefVariants.push_back(std::move(Defs));
+      }
+    }
     for (const auto &EqDefs : EqDefVariants) {
       if (Query.Seeds.empty()) {
         EFQuery::Seed S;
         S.VarMap = EqDefs;
-        AllSeeds.push_back(std::move(S));
+        if (assertSeed(S))
+          return "derived_seed";
         continue;
       }
       for (const EFQuery::Seed &S : Query.Seeds) {
         EFQuery::Seed Augmented = S;
         for (const auto &[Id, T] : EqDefs)
           Augmented.VarMap[Id] = T;
-        AllSeeds.push_back(std::move(Augmented));
+        if (assertSeed(Augmented))
+          return "derived_seed";
       }
     }
-    for (const EFQuery::Seed &S : AllSeeds) {
-      Expr Inst = renameApps(substitute(Phi, S.VarMap), S.AppRenames);
-      // Partial instantiation would be unsound: skip a seed that leaves an
-      // inner variable or an inner application behind.
-      bool InnerLeft = mentionsAnyVar(Inst, InnerVars);
-      if (!InnerLeft) {
-        std::unordered_set<ExprId> Apps;
-        collectApps(Inst, Apps);
-        for (ExprId A : Apps)
-          for (const std::string &P : Query.InnerAppPrefixes)
-            InnerLeft |= ExprCtx::get().node(A).Name.rfind(P, 0) == 0;
-      }
-      if (InnerLeft) {
-        ALIVE_STAT_COUNTER(SeedsSkipped, "ef.seeds_skipped");
-        SeedsSkipped.inc();
-        continue;
-      }
-      ALIVE_STAT_COUNTER(SeedsAccepted, "ef.seeds_accepted");
-      SeedsAccepted.inc();
-      Outer.push_back(mkNot(Inst));
-    }
-  }
-
-  // Ackermannize the whole query in one id-sorted pass. An axiom between
-  // outer applications constrains the outer side; one involving an inner
-  // application may depend on the inner choice, so it joins Phi.
-  std::vector<Expr> Roots = Outer;
-  Roots.push_back(Phi);
-  std::vector<Expr> OuterAxioms, InnerAxioms;
-  Ackermannizer Ack(&InnerVars, &Query.InnerAppPrefixes);
-  if (Ack.addApps(Roots, [&](Expr Axiom, bool Inner) {
-        (Inner ? InnerAxioms : OuterAxioms).push_back(Axiom);
-      })) {
-    for (Expr &E : Outer)
-      E = Ack.rewrite(E);
-    Phi = Ack.rewrite(Phi);
-    Outer.insert(Outer.end(), OuterAxioms.begin(), OuterAxioms.end());
-    for (Expr Axiom : InnerAxioms)
-      Phi = mkAnd(Phi, Axiom);
-  }
+    return "";
+  }();
 
   // Outer variables: everything free in the query that is not inner-bound.
-  std::unordered_set<ExprId> AllVars;
-  for (Expr E : Outer)
-    collectVars(E, AllVars);
-  collectVars(Phi, AllVars);
+  // A refuted build needs neither them nor Phi: its first check answers.
+  Expr Phi = Query.Inner;
   std::vector<ExprId> OuterVars;
   std::vector<ExprId> PhiInnerVars;
-  for (ExprId V : AllVars) {
-    if (InnerVars.count(V))
-      PhiInnerVars.push_back(V);
-    else
-      OuterVars.push_back(V);
+  if (RefutedBy.empty()) {
+    // Phi's applications last, then the outer axioms.
+    Phi = ackermannize(Phi);
+    for (Expr Axiom : InnerAxioms)
+      Phi = mkAnd(Phi, Axiom);
+    for (Expr Axiom : OuterAxioms)
+      if (assertOuter(Axiom)) {
+        RefutedBy = "outer";
+        break;
+      }
+    std::unordered_set<ExprId> AllVars;
+    for (Expr E : Outer)
+      collectVars(E, AllVars);
+    collectVars(Phi, AllVars);
+    for (ExprId V : AllVars) {
+      if (InnerVars.count(V))
+        PhiInnerVars.push_back(V);
+      else
+        OuterVars.push_back(V);
+    }
   }
 
   // Phase result classification for the search loop below.
@@ -577,32 +610,31 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
 
   // Phase A: bias toward all-zero inputs. Models found here are small and
   // readable, and exercise the exact (non-over-approximated) semantic
-  // paths first. Only run when there are avoided apps to dodge.
-  if (!Query.AvoidAppPrefixes.empty()) {
-    Solver ZeroSolver(Limit);
-    for (Expr E : Outer)
-      ZeroSolver.add(E);
+  // paths first. Only run when there are avoided apps to dodge, and the
+  // build stands.
+  if (!Query.AvoidAppPrefixes.empty() && RefutedBy.empty()) {
     for (ExprId V : OuterVars) {
       Expr Var(V);
       const std::string &Name = Var.node().Name;
       if (Name.rfind("in.", 0) != 0)
         continue;
-      ZeroSolver.add(Var.isBool() ? mkNot(Var)
-                                  : mkEq(Var, mkBV(Var.width(), 0)));
+      Search->add(Var.isBool() ? mkNot(Var)
+                               : mkEq(Var, mkBV(Var.width(), 0)));
     }
-    Phase R = runPhase(ZeroSolver, 48);
+    Phase R = runPhase(*Search, 48);
     if (R == Phase::FoundClean)
       return Out;
     if (R == Phase::Unknown)
       return inconclusive();
     // Unsat/Exhausted here only means "no zero-input counterexample".
+    // Phase B's solver holds what the build asserted, in the same order.
+    Search.emplace(Limit);
+    for (Expr E : Outer)
+      Search->add(E);
   }
 
-  // Phase B: the full search.
-  Solver OuterSolver(Limit);
-  for (Expr E : Outer)
-    OuterSolver.add(E);
-  Phase R = runPhase(OuterSolver, 512);
+  // Phase B: the full search. A refuted build ends in its first check.
+  Phase R = runPhase(*Search, 512);
   switch (R) {
   case Phase::FoundClean:
     return Out;

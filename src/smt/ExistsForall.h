@@ -44,9 +44,10 @@ struct EFQuery {
   /// Symbolic instantiations of the universal: each seed maps every inner
   /// variable to a term over outer symbols (and renames inner function
   /// symbols to outer ones). The engine adds not-Phi[seed] to the outer
-  /// constraints up front — the analog of Z3's pattern-based quantifier
-  /// instantiation that Alive2 relies on. Seeds that leave any inner symbol
-  /// uninstantiated are skipped (instantiation must be total to be sound).
+  /// constraints before the first round — the analog of Z3's pattern-based
+  /// quantifier instantiation that Alive2 relies on. Seeds that leave any
+  /// inner symbol uninstantiated are skipped (instantiation must be total to
+  /// be sound), and none is instantiated once the outer side is refuted.
   struct Seed {
     std::unordered_map<ExprId, Expr> VarMap;
     std::vector<std::pair<std::string, std::string>> AppRenames;
@@ -82,11 +83,15 @@ struct EFOutcome {
   std::vector<std::pair<ExprId, unsigned>> WitnessChanges;
 };
 
-/// Decides the query within \p Limit. Uninterpreted applications anywhere
-/// in the query are Ackermannized first, with congruence axioms placed on
-/// the correct side of the quantifier alternation. \p Limit is polled on
-/// entry, so a query that starts past it answers Unknown with the poll's
-/// reason and builds no solver, and in each CEGIS round.
+/// Decides the query within \p Limit. The outer side is built stage by
+/// stage: Outer, the plain seeds, the seeds of the equation definitions,
+/// the outer congruence axioms. A stage whose formula leaves the solver
+/// refuted ends the build, and the first round answers Unsat. Uninterpreted
+/// applications are Ackermannized as each formula arrives, Phi's last, with
+/// congruence axioms placed on the correct side of the quantifier
+/// alternation. \p Limit is polled on entry, so a query that starts past it
+/// answers Unknown with the poll's reason and builds no solver, and in each
+/// CEGIS round.
 EFOutcome solveExistsForall(const EFQuery &Query, const TimeLimit &Limit);
 
 } // namespace alive::smt

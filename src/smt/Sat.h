@@ -121,7 +121,8 @@ public:
   int newVar();
   int numVars() const { return (int)Assign.size(); }
 
-  /// Adds a clause (simplifying duplicates/tautologies).
+  /// Adds a clause (simplifying duplicates/tautologies). A clause that
+  /// becomes unit is propagated at once.
   /// \returns false if the database became trivially unsatisfiable.
   bool addClause(std::span<const Lit> Lits);
   bool addClause(Lit A) { return addClause(std::span<const Lit>(&A, 1)); }
@@ -145,6 +146,11 @@ public:
   /// A decision propagates at least its own literal, so no more than this
   /// many decisions pass between two polls.
   static constexpr uint64_t PropagationsPerPoll = uint64_t(1) << 12;
+
+  /// False once the clauses are refuted at the root: an empty clause, or a
+  /// conflict of root propagation (MiniSat's okay()). addClause() then adds
+  /// nothing and solve() answers Unsat without searching.
+  bool okay() const { return !Unsat; }
 
   /// Value of a variable in the satisfying assignment (only after Sat).
   bool modelValue(int Var) const;

@@ -71,7 +71,7 @@ bool Ackermannizer::addApps(std::span<const Expr> Roots,
 }
 
 void Solver::add(Expr E) {
-  if (TriviallyUnsat)
+  if (refuted())
     return;
   assert(E.isBool() && "assertions must be Bool");
   // One poll per assertion: Ackermannization and blasting up to the
@@ -103,9 +103,11 @@ SolveOutcome Solver::check() {
   Checks.inc();
 
   SolveOutcome Out;
+  // A root conflict goes to the SAT solver, which answers Unsat at once,
+  // even when blasting stopped after it.
   if (TriviallyUnsat) {
     Out.Res = SatResult::Unsat;
-  } else if (Blaster->overBudget()) {
+  } else if (Sat->okay() && Blaster->overBudget()) {
     Out.UnknownReason = Blaster->stopReason();
   } else {
     switch (Sat->solve(Limit)) {

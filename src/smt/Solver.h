@@ -97,10 +97,15 @@ public:
   Solver(const Solver &) = delete;
   Solver &operator=(const Solver &) = delete;
 
-  /// Asserts the Bool expression \p E (conjunction semantics). Polls the
-  /// limit first: once it answers, bit-blasting stops and check() answers
-  /// Unknown without searching.
+  /// Asserts the Bool expression \p E (conjunction semantics). Does nothing
+  /// once refuted(). Otherwise polls the limit first: once it answers,
+  /// bit-blasting stops and check() answers Unknown without searching.
   void add(Expr E);
+
+  /// True once the assertions so far are refuted without a search: one was
+  /// trivially false, or the SAT solver hit a conflict at the root. From
+  /// then on add() blasts nothing and check() answers Unsat, never Unknown.
+  bool refuted() const { return TriviallyUnsat || !Sat->okay(); }
 
   /// Checks satisfiability of all assertions so far.
   SolveOutcome check();

@@ -687,7 +687,7 @@ exit:
        {"target is more poisonous than source (lane 0)", Unsat, 1, 1, 0, 0,
         0, 12362},
        {"target's return value is more specific (lane 0)", Unsat, 1, 1, 30,
-        2480, 7497, 28678},
+        2480, 7263, 28678},
        {"target's memory is more specific", Unsat, 1, 1, 10, 2269, 6187,
         36935}});
 
@@ -728,14 +728,14 @@ TEST(Refine, FixturePairRegistryCountersArePinned) {
 
   // Counters not listed must read zero.
   const std::map<std::string, uint64_t> Want = {
-      {"bitblast.cache_hits", 51}, {"bitblast.clauses", 2547},
+      {"bitblast.cache_hits", 49}, {"bitblast.clauses", 2545},
       {"bitblast.vars", 808},      {"ef.iterations", 4},
-      {"ef.queries", 4},           {"ef.seeds_accepted", 18},
+      {"ef.queries", 4},           {"ef.seeds_accepted", 11},
       {"encode.functions", 3},     {"encode.instructions", 7},
       {"refine.pairs", 1},         {"refine.queries", 5},
       {"sat.conflicts", 18},       {"sat.decisions", 175},
       {"sat.learned_clauses", 18}, {"sat.propagations", 2480},
-      {"sat.solves", 3},           {"simplify.rewrites", 51},
+      {"sat.solves", 3},           {"simplify.rewrites", 44},
       {"solver.checks", 5},
   };
   std::map<std::string, uint64_t> Got;

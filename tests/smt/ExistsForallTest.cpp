@@ -11,8 +11,11 @@
 #include "support/Diag.h"
 #include "support/Profile.h"
 #include "support/Stats.h"
+#include "support/Trace.h"
 
 #include "gtest/gtest.h"
+
+#include <sstream>
 
 using namespace alive;
 using namespace alive::smt;
@@ -273,6 +276,87 @@ TEST(ExistsForall, PreparationStopsAtTheTimeLimit) {
   }
   // Within the limit, the same query is decided.
   EXPECT_EQ(solveExistsForall(Q, TimeLimit()).Res, SatResult::Unsat);
+}
+
+/// Decides \p Q with the trace attached. \returns the outcome, the delta
+/// of ef.seeds_accepted and the ef_query event's refuted_by field.
+struct TracedOutcome {
+  EFOutcome R;
+  uint64_t Accepted;
+  std::string RefutedBy;
+};
+TracedOutcome solveTraced(const EFQuery &Q) {
+  stats::Counter Accepted = stats::counter("ef.seeds_accepted");
+  uint64_t Accepted0 = Accepted.value();
+  std::ostringstream SS;
+  trace::setStream(&SS);
+  EFOutcome R = solveExistsForall(Q, TimeLimit());
+  trace::setStream(nullptr);
+  std::string Line = SS.str(), Key = "\"refuted_by\":\"";
+  size_t At = Line.rfind(Key);
+  std::string RefutedBy = "<missing>";
+  if (At != std::string::npos) {
+    At += Key.size();
+    RefutedBy = Line.substr(At, Line.find('"', At) - At);
+  }
+  return {std::move(R), Accepted.value() - Accepted0, RefutedBy};
+}
+
+/// Two seeds for inner \p N that leave nothing inner behind: each is
+/// accepted unless the build ends before it.
+std::vector<EFQuery::Seed> twoSeeds(Expr N, Expr First, Expr Second) {
+  std::vector<EFQuery::Seed> Seeds(2);
+  Seeds[0].VarMap[N.id()] = First;
+  Seeds[1].VarMap[N.id()] = Second;
+  return Seeds;
+}
+
+TEST(ExistsForall, RefutedOuterSideBuildsNoSeed) {
+  // x = 3 and x + 1 = 5 refute the outer side by propagation alone. The
+  // build stops there: neither seed nor any equation definition is
+  // instantiated, and the one round's check answers Unsat.
+  Expr X = mkFreshVar("x", 8), N = mkFreshVar("n", 8);
+  EFQuery Q;
+  Q.Outer = {mkEq(X, mkBV(8, 3)), mkEq(mkAdd(X, mkBV(8, 1)), mkBV(8, 5))};
+  Q.Inner = mkEq(mkAdd(N, mkBV(8, 1)), X);
+  Q.InnerVars = {N.id()};
+  Q.Seeds = twoSeeds(N, X, mkBV(8, 0));
+  ASSERT_TRUE(Q.DeriveEquationDefs);
+  TracedOutcome T = solveTraced(Q);
+  EXPECT_EQ(T.R.Res, SatResult::Unsat);
+  EXPECT_EQ(T.R.Iterations, 1u);
+  EXPECT_EQ(T.Accepted, 0u);
+  EXPECT_EQ(T.RefutedBy, "outer");
+}
+
+TEST(ExistsForall, RefutingSeedEndsTheBuild) {
+  // Under x = 3, the first seed n := 2 instantiates not (2 + 1 = x), which
+  // root propagation refutes; the second seed, n := 7, is never accepted.
+  Expr X = mkFreshVar("x", 8), N = mkFreshVar("n", 8);
+  EFQuery Q;
+  Q.Outer = {mkEq(X, mkBV(8, 3))};
+  Q.Inner = mkEq(mkAdd(N, mkBV(8, 1)), X);
+  Q.InnerVars = {N.id()};
+  Q.Seeds = twoSeeds(N, mkBV(8, 2), mkBV(8, 7));
+  TracedOutcome T = solveTraced(Q);
+  EXPECT_EQ(T.R.Res, SatResult::Unsat);
+  EXPECT_EQ(T.R.Iterations, 1u);
+  EXPECT_EQ(T.Accepted, 1u);
+  EXPECT_EQ(T.RefutedBy, "seed");
+
+  // Seeds that leave it open end the build with the derived seeds, whose
+  // definition n := x - 1 refutes it; a query no stage refutes says "".
+  Q.Seeds = twoSeeds(N, mkBV(8, 0), mkBV(8, 7));
+  T = solveTraced(Q);
+  EXPECT_EQ(T.R.Res, SatResult::Unsat);
+  EXPECT_EQ(T.R.Iterations, 1u);
+  EXPECT_EQ(T.Accepted, 3u);
+  EXPECT_EQ(T.RefutedBy, "derived_seed");
+  Q.DeriveEquationDefs = false;
+  T = solveTraced(Q);
+  EXPECT_EQ(T.R.Res, SatResult::Unsat);
+  EXPECT_EQ(T.Accepted, 2u);
+  EXPECT_EQ(T.RefutedBy, "");
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include "smt/Solver.h"
 #include "support/Diag.h"
 #include "support/Profile.h"
+#include "support/Stats.h"
 
 #include "gtest/gtest.h"
 
@@ -213,6 +214,53 @@ TEST(Solver, AddPollsTheLimit) {
   ASSERT_TRUE(R.isUnknown());
   EXPECT_EQ(R.UnknownReason, support::Reason::Cancelled);
   EXPECT_EQ(Check.effort().SatChecks, 0u);
+}
+
+TEST(Solver, RefutedSolverBlastsNoMore) {
+  // x = 3 and x + 1 = 5 meet in a conflict of root propagation, without a
+  // search. From then on nothing is blasted: a 32-bit multiplier identity
+  // asserted after creates no variable and emits no clause, at the
+  // facade and in the bit-blaster below it, and the check answers Unsat.
+  Expr X = mkFreshVar("x", 8), A = mkFreshVar("a", 32),
+       B = mkFreshVar("b", 32);
+  Expr Three = mkEq(X, mkBV(8, 3));
+  Expr Five = mkEq(mkAdd(X, mkBV(8, 1)), mkBV(8, 5));
+  Expr Identity = mkEq(mkMul(A, mkAdd(B, mkBV(32, 1))), mkAdd(mkMul(A, B), A));
+  stats::Counter Vars = stats::counter("bitblast.vars");
+  stats::Counter Clauses = stats::counter("bitblast.clauses");
+  // The counts a fresh solver blasts for the conflict, with and without
+  // the identity after it.
+  auto blasted = [&](bool WithIdentity) {
+    uint64_t Vars0 = Vars.value(), Clauses0 = Clauses.value();
+    {
+      Solver S;
+      S.add(Three);
+      EXPECT_FALSE(S.refuted());
+      S.add(Five);
+      EXPECT_TRUE(S.refuted());
+      if (WithIdentity)
+        S.add(Identity);
+      prof::Span Check("check");
+      EXPECT_TRUE(S.check().isUnsat());
+      EXPECT_EQ(Check.effort().Decisions, 0u);
+    }
+    return std::pair{Vars.value() - Vars0, Clauses.value() - Clauses0};
+  };
+  auto Conflict = blasted(false);
+  EXPECT_GT(Conflict.second, 0u);
+  EXPECT_EQ(blasted(true), Conflict);
+
+  SatSolver Sat;
+  BitBlaster Blaster(Sat, TimeLimit());
+  Blaster.assertTrue(Three);
+  Blaster.assertTrue(Five);
+  ASSERT_FALSE(Sat.okay());
+  int NumVars = Sat.numVars();
+  uint64_t Emitted = Blaster.numClausesEmitted();
+  Blaster.assertTrue(Identity);
+  EXPECT_EQ(Sat.numVars(), NumVars);
+  EXPECT_EQ(Blaster.numClausesEmitted(), Emitted);
+  EXPECT_EQ(Sat.solve(), SatStatus::Unsat);
 }
 
 TEST(Solver, BitBlastedSearchEffortIsPinned) {

@@ -10,7 +10,7 @@ Two artifact kinds, both produced by every alive-* tool:
                  except the "query" event's "restless_reads", a list of
                  strings it must carry; "sat_check" / "ef_query" / "query"
                  events must carry every effort key as a non-negative
-                 number.
+                 number, and "ef_query" its "refuted_by" stage.
 
   --chrome FILE  a Chrome trace-event profile (--profile-out): the document
                  must hold a "traceEvents" list whose entries carry the
@@ -46,6 +46,11 @@ EFFORT_KEYS = ("solver_seconds", "sat_checks", "conflicts", "decisions",
                "propagations", "restarts", "rewrites", "clauses")
 EFFORT_EVENTS = {"sat_check", "ef_query", "query"}
 
+# The stage whose formula refuted an exists-forall query's outer side while
+# it was built (smt/ExistsForall.cpp); "" when the build ended unrefuted.
+# Every "ef_query" event must carry one of these in its "refuted_by" field.
+REFUTED_BY = ("outer", "seed", "derived_seed", "")
+
 # The one list-valued field: the read paths a "query" event names as the
 # reason it was inconclusive (empty when it was not).
 LIST_FIELDS = {("query", "restless_reads")}
@@ -67,6 +72,9 @@ def check_event_fields(path, lineno, obj, errors):
                     or value < 0):
                 fail(errors, f"{where}: {kind} event needs non-negative "
                      f"numeric '{key}'")
+    if kind == "ef_query" and obj.get("refuted_by") not in REFUTED_BY:
+        fail(errors, f"{where}: ef_query event needs 'refuted_by', one of "
+             + ", ".join(map(repr, REFUTED_BY)))
     if kind == "query":
         reads = obj.get("restless_reads")
         if (not isinstance(reads, list)
